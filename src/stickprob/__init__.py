@@ -6,34 +6,24 @@ polygon?  This package evaluates every known closed form exactly with
 big-integer rationals, and verifies each one three ways: independent
 algebraic derivations of the same constants, literal symbolic integration
 of the defining integrals, and seeded Monte Carlo simulation.
+
+The root exports the supported surface; the submodules (``sequences``,
+``constraints``, ``closedform``, ``montecarlo``, ``oracle``, ``verify``,
+``cli``) hold the rest.
 """
 
 from .closedform import (
     ExactProb,
+    closed_form,
     is_vacuous,
     pa_pickup,
     pn_broken,
     pn_exponential,
     pn_pickup,
-    pn_pickup_quadrilateral,
     pn_pickup_truncated,
     pr_pickup,
 )
-from .constraints import (
-    BROKEN,
-    PICKUP,
-    ConstraintSystem,
-    LinearForm,
-    check_max_min_identity,
-    constraint_system,
-    e_vector,
-    m_constants,
-    m_constants_via_jacobian,
-    max_length_form,
-    min_length_form,
-    s_constants,
-    sample_feasible_prefix,
-)
+from .constraints import m_constants, s_constants
 from .errors import (
     DomainError,
     InfeasiblePrefixError,
@@ -41,74 +31,34 @@ from .errors import (
     SticksError,
     UnsupportedFormulaError,
 )
-from .montecarlo import (
-    DistributionSpec,
-    EventSpec,
-    MCEstimate,
-    all_polygon,
-    estimate,
-    no_polygon,
-    random_subset_polygon,
-    sample_lengths,
-)
-from .oracle import (
-    MultiPoly,
-    intermediates_vanish_at_max,
-    r_vector,
-    symbolic_pn_pickup,
-    symbolic_pn_truncated,
-)
+from .montecarlo import DistributionSpec, EventSpec, MCEstimate, estimate
 from .sequences import StepFibTable, fib, fib_prefix_sum, t_value
-from .verify import CheckResult, run_concordance, run_suite
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "BROKEN",
-    "CheckResult",
-    "ConstraintSystem",
     "DistributionSpec",
     "DomainError",
     "EventSpec",
     "ExactProb",
     "InfeasiblePrefixError",
-    "LinearForm",
     "MCEstimate",
-    "MultiPoly",
-    "PICKUP",
     "ResourceLimitError",
     "StepFibTable",
     "SticksError",
     "UnsupportedFormulaError",
-    "all_polygon",
-    "check_max_min_identity",
-    "constraint_system",
-    "e_vector",
+    "closed_form",
     "estimate",
     "fib",
     "fib_prefix_sum",
-    "intermediates_vanish_at_max",
     "is_vacuous",
     "m_constants",
-    "m_constants_via_jacobian",
-    "max_length_form",
-    "min_length_form",
-    "no_polygon",
     "pa_pickup",
     "pn_broken",
     "pn_exponential",
     "pn_pickup",
-    "pn_pickup_quadrilateral",
     "pn_pickup_truncated",
     "pr_pickup",
-    "r_vector",
-    "random_subset_polygon",
-    "run_concordance",
-    "run_suite",
     "s_constants",
-    "sample_feasible_prefix",
-    "sample_lengths",
-    "symbolic_pn_pickup",
-    "symbolic_pn_truncated",
     "t_value",
 ]

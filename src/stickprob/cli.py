@@ -16,10 +16,13 @@ Usage sketches::
 Exact values cross this boundary as num/den strings or {"num", "den"}
 objects, never floats.  Reports are JSON on stdout (CSV for tables on
 request).  Exit status: 0 success, 1 verify found a failing identity,
-2 usage error, 3 no closed form exists for the request (the message names
-the Monte Carlo fallback).  Ranges use inclusive lo:hi syntax.  The only
-environment variable honoured is STICKPROB_WORKERS, the default worker
-count for simulation.
+2 usage error (an input outside a formula's domain included), 3 no closed
+form exists for the request: pa beyond quadrilaterals, or an (event,
+model) pair without one, such as pa or pr under any model but pickup.
+The exit-3 message names the Monte Carlo fallback, ``simulate --event E
+--model M``.  Ranges use inclusive lo:hi syntax.  The only environment
+variable honoured is STICKPROB_WORKERS, the default worker count for
+simulation.
 """
 
 from __future__ import annotations
@@ -34,25 +37,9 @@ from fractions import Fraction
 
 import click
 
-from .closedform import (
-    ExactProb,
-    is_vacuous,
-    pa_pickup,
-    pn_broken,
-    pn_exponential,
-    pn_pickup,
-    pn_pickup_truncated,
-    pr_pickup,
-)
+from .closedform import ExactProb, closed_form, is_vacuous
 from .errors import DomainError, ResourceLimitError, UnsupportedFormulaError
-from .montecarlo import (
-    ALL_POLYGON,
-    NO_POLYGON,
-    RANDOM_SUBSET_POLYGON,
-    DistributionSpec,
-    EventSpec,
-    estimate,
-)
+from .montecarlo import EVENTS, MODELS, DistributionSpec, EventSpec, estimate
 from .constraints import (
     BROKEN,
     PICKUP,
@@ -66,11 +53,11 @@ from .verify import MC_BASE_SEED, run_suite
 
 SCHEMA_VERSION = 1
 
-_EVENT_KINDS = {"pn": NO_POLYGON, "pa": ALL_POLYGON, "pr": RANDOM_SUBSET_POLYGON}
-_MODELS = ("pickup", "broken", "exponential", "truncated")
 
-
-def _default_workers() -> int:
+def _default_workers(ctx: click.Context, param: click.Parameter, value: int | None) -> int:
+    """--workers, else STICKPROB_WORKERS, else 1."""
+    if value is not None:
+        return value
     raw = os.environ.get("STICKPROB_WORKERS")
     if raw is None:
         return 1
@@ -81,14 +68,6 @@ def _default_workers() -> int:
     if workers < 1:
         raise click.UsageError("STICKPROB_WORKERS must be >= 1")
     return workers
-
-
-def _parse_fraction(text: str, flag: str) -> Fraction:
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise click.UsageError(f"{flag} expects a num/den rational, got {text!r}") from exc
-    return value
 
 
 def _parse_range(text: str, flag: str) -> tuple[int, int]:
@@ -107,6 +86,27 @@ def _parse_range(text: str, flag: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _truncation(model: str, a: str | None) -> Fraction | None:
+    """The --a rational, which the truncated model requires and no other takes."""
+    if model != "truncated":
+        if a is not None:
+            raise click.UsageError("--a only applies to the truncated model")
+        return None
+    if a is None:
+        raise click.UsageError("model truncated requires --a")
+    try:
+        return Fraction(a)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise click.UsageError(f"--a expects a num/den rational, got {a!r}") from exc
+
+
+def _require_n(event: str, n: int | str | None) -> None:
+    if event == "pr" and n is not None:
+        raise click.UsageError("pr does not depend on --n")
+    if event != "pr" and n is None:
+        raise click.UsageError(f"{event} requires --n")
+
+
 def _exact_payload(prob: ExactProb, digits: int) -> dict:
     return {
         "exact": {"num": prob.numerator, "den": prob.denominator},
@@ -123,35 +123,39 @@ def _form_payload(form: LinearForm) -> dict:
     }
 
 
-def _emit(payload: dict) -> None:
+def _emit(command: str, inputs: dict, **body) -> None:
+    payload = {"schema_version": SCHEMA_VERSION, "command": command, "inputs": inputs, **body}
     click.echo(json.dumps(payload, indent=2))
 
 
-def _closed_form_value(problem, model, p, n, a):
-    """The exact probability for a (problem, model) pair, or None when no
-    closed form is in scope."""
-    try:
-        if problem == "pn":
-            if model == "pickup":
-                return pn_pickup(p, n)
-            if model == "broken":
-                return pn_broken(p, n)
-            if model == "exponential":
-                return pn_exponential(p, n)
-            if model == "truncated":
-                return pn_pickup_truncated(p, n, a)
-        if problem == "pa" and model == "pickup":
-            return pa_pickup(p, n)
-        if problem == "pr" and model == "pickup":
-            return pr_pickup(p)
-    except UnsupportedFormulaError:
-        return None
-    return None
+class _Cli(click.Group):
+    """The one place where package errors become exit statuses: a value
+    outside a formula's domain is a usage error (2), a request without a
+    closed form is 3.  Anything else, ValueError included, propagates."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (DomainError, ResourceLimitError) as exc:
+            raise click.UsageError(str(exc)) from exc
+        except UnsupportedFormulaError as exc:
+            click.echo(str(exc), err=True)
+            ctx.exit(3)
 
 
-@click.group()
+@click.group(cls=_Cli)
 def cli() -> None:
     """Exact and Monte Carlo probabilities for stick-length polygon problems."""
+
+
+_event_argument = click.argument("problem", type=click.Choice(list(EVENTS)))
+_model_option = click.option("--model", type=click.Choice(MODELS), default="pickup",
+                             show_default=True, help="Sampling model.")
+_a_option = click.option("--a", "a", type=str, default=None,
+                         help="Truncation point as num/den (model truncated only).")
+_digits_option = click.option("--decimal-digits", type=int, default=12, show_default=True)
+_workers_option = click.option("--workers", type=int, default=None, callback=_default_workers,
+                               help="Defaults to STICKPROB_WORKERS, else 1.")
 
 
 # ---------------------------------------------------------------------------
@@ -160,86 +164,30 @@ def cli() -> None:
 
 
 @cli.command()
-@click.argument("problem", type=click.Choice(["pn", "pa", "pr"]))
-@click.option("--model", type=click.Choice(_MODELS), default=None,
-              help="Sampling model (pn only; pa/pr are pick-up sticks).")
+@_event_argument
+@_model_option
 @click.option("--p", "p", type=int, required=True, help="Polygon parameter: p+1 sides.")
-@click.option("--n", "n", type=int, default=None, help="Number of sticks.")
-@click.option("--a", "a", type=str, default=None,
-              help="Truncation point as num/den (model truncated only).")
-@click.option("--decimal-digits", type=int, default=12, show_default=True)
-def compute(problem: str, model: str | None, p: int, n: int | None,
+@click.option("--n", "n", type=int, default=None, help="Number of sticks (not for pr).")
+@_a_option
+@_digits_option
+def compute(problem: str, model: str, p: int, n: int | None,
             a: str | None, decimal_digits: int) -> None:
     """Evaluate one closed-form probability exactly."""
-    a_value = None
-    if problem == "pn":
-        model = model or "pickup"
-        if n is None:
-            raise click.UsageError("pn requires --n")
-        if model == "truncated":
-            if a is None:
-                raise click.UsageError("model truncated requires --a")
-            a_value = _parse_fraction(a, "--a")
-        elif a is not None:
-            raise click.UsageError("--a only applies to the truncated model")
-    elif problem == "pa":
-        if model not in (None, "pickup"):
-            click.echo(
-                f"no closed form for pa under the {model} model; "
-                "fall back to the Monte Carlo estimator (simulate --event pa)",
-                err=True,
-            )
-            sys.exit(3)
-        model = "pickup"
-        if n is None:
-            raise click.UsageError("pa requires --n")
-        if a is not None:
-            raise click.UsageError("--a only applies to pn with the truncated model")
-    else:  # pr
-        if model not in (None, "pickup"):
-            raise click.UsageError("pr is defined for the pick-up sticks model only")
-        model = "pickup"
-        if n is not None:
-            raise click.UsageError("pr does not depend on --n")
-        if a is not None:
-            raise click.UsageError("--a only applies to pn with the truncated model")
-
-    try:
-        if problem == "pn":
-            if model == "pickup":
-                prob = pn_pickup(p, n)
-            elif model == "broken":
-                prob = pn_broken(p, n)
-            elif model == "exponential":
-                prob = pn_exponential(p, n)
-            else:
-                prob = pn_pickup_truncated(p, n, a_value)
-        elif problem == "pa":
-            prob = pa_pickup(p, n)
-        else:
-            prob = pr_pickup(p)
-    except UnsupportedFormulaError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(3)
-    except DomainError as exc:
-        raise click.UsageError(str(exc)) from exc
-
+    form = closed_form(problem, model)
+    a_value = _truncation(model, a)
+    _require_n(problem, n)
+    prob = form(p, n, a_value)
     result = _exact_payload(prob, decimal_digits)
-    if problem in ("pn", "pa"):
+    if problem != "pr":
         result["vacuous"] = is_vacuous(p, n)
-    _emit({
-        "schema_version": SCHEMA_VERSION,
-        "command": "compute",
-        "inputs": {
-            "problem": problem,
-            "model": model,
-            "p": p,
-            "n": n,
-            "a": str(a_value) if a_value is not None else None,
-            "decimal_digits": decimal_digits,
-        },
-        "result": result,
-    })
+    _emit("compute", {
+        "problem": problem,
+        "model": model,
+        "p": p,
+        "n": n,
+        "a": str(a_value) if a_value is not None else None,
+        "decimal_digits": decimal_digits,
+    }, result=result)
 
 
 # ---------------------------------------------------------------------------
@@ -248,79 +196,54 @@ def compute(problem: str, model: str | None, p: int, n: int | None,
 
 
 @cli.command()
-@click.option("--event", type=click.Choice(["pn", "pa", "pr"]), required=True)
-@click.option("--model", type=click.Choice(_MODELS), default="pickup", show_default=True)
+@click.option("--event", type=click.Choice(list(EVENTS)), required=True)
+@_model_option
 @click.option("--p", "p", type=int, required=True)
 @click.option("--n", "n", type=int, required=True)
 @click.option("--trials", type=int, default=100_000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--workers", type=int, default=None,
-              help="Defaults to STICKPROB_WORKERS, else 1.")
-@click.option("--a", "a", type=str, default=None,
-              help="Truncation point as num/den (model truncated only).")
+@_workers_option
+@_a_option
 @click.option("--rate", type=float, default=None,
               help="Exponential rate (model exponential only).")
-@click.option("--decimal-digits", type=int, default=12, show_default=True)
+@_digits_option
 def simulate(event: str, model: str, p: int, n: int, trials: int, seed: int,
-             workers: int | None, a: str | None, rate: float | None,
+             workers: int, a: str | None, rate: float | None,
              decimal_digits: int) -> None:
     """Run the seeded Monte Carlo estimator; embeds the matching closed form
     and a z-score when one exists."""
-    if workers is None:
-        workers = _default_workers()
-    a_value = None
-    if model == "truncated":
-        if a is None:
-            raise click.UsageError("model truncated requires --a")
-        a_value = _parse_fraction(a, "--a")
-        if not 0 <= a_value < 1:
-            raise click.UsageError("--a must lie in [0, 1)")
-        dist = DistributionSpec.uniform_truncated(float(a_value))
-    elif a is not None:
-        raise click.UsageError("--a only applies to the truncated model")
-    elif model == "exponential":
-        dist = DistributionSpec.exponential(rate if rate is not None else 1.0)
-    elif model == "broken":
-        dist = DistributionSpec.broken_stick()
-    else:
-        dist = DistributionSpec.uniform01()
+    a_value = _truncation(model, a)
     if rate is not None and model != "exponential":
         raise click.UsageError("--rate only applies to the exponential model")
+    dist = DistributionSpec(model, a=float(a_value or 0), rate=1.0 if rate is None else rate)
+    mc = estimate(EventSpec(EVENTS[event], p), dist, n, trials, seed, workers)
 
     try:
-        spec = EventSpec(_EVENT_KINDS[event], p)
-        mc = estimate(spec, dist, n, trials, seed, workers)
-    except DomainError as exc:
-        raise click.UsageError(str(exc)) from exc
-
-    exact = _closed_form_value(event, model, p, n, a_value)
+        exact = closed_form(event, model)(p, n, a_value)
+    except UnsupportedFormulaError:
+        exact = None
     z = None
     if exact is not None and mc.std_err > 0:
         z = (mc.p_hat - float(exact)) / mc.std_err
-    _emit({
-        "schema_version": SCHEMA_VERSION,
-        "command": "simulate",
-        "inputs": {
-            "event": event,
-            "model": model,
-            "p": p,
-            "n": n,
-            "trials": trials,
-            "seed": seed,
-            "workers": workers,
-            "a": str(a_value) if a_value is not None else None,
-            "rate": dist.rate if model == "exponential" else None,
-            "decimal_digits": decimal_digits,
-        },
-        "result": _exact_payload(exact, decimal_digits) if exact is not None else None,
-        "mc": {
-            "p_hat": mc.p_hat,
-            "std_err": mc.std_err,
-            "trials": mc.trials,
-            "seed": mc.seed,
-            "successes": mc.successes,
-            "z_vs_exact": z,
-        },
+    result = _exact_payload(exact, decimal_digits) if exact is not None else None
+    _emit("simulate", {
+        "event": event,
+        "model": model,
+        "p": p,
+        "n": n,
+        "trials": trials,
+        "seed": seed,
+        "workers": workers,
+        "a": str(a_value) if a_value is not None else None,
+        "rate": dist.rate if model == "exponential" else None,
+        "decimal_digits": decimal_digits,
+    }, result=result, mc={
+        "p_hat": mc.p_hat,
+        "std_err": mc.std_err,
+        "trials": mc.trials,
+        "seed": mc.seed,
+        "successes": mc.successes,
+        "z_vs_exact": z,
     })
 
 
@@ -330,75 +253,31 @@ def simulate(event: str, model: str, p: int, n: int, trials: int, seed: int,
 
 
 @cli.command()
-@click.argument("problem", type=click.Choice(["pn", "pa", "pr"]))
-@click.option("--model", type=click.Choice(_MODELS), default=None)
+@_event_argument
+@_model_option
 @click.option("--p", "p_range", type=str, required=True, help="p or lo:hi range.")
-@click.option("--n", "n_range", type=str, default=None, help="n or lo:hi range.")
-@click.option("--a", "a", type=str, default=None)
+@click.option("--n", "n_range", type=str, default=None, help="n or lo:hi range (not for pr).")
+@_a_option
 @click.option("--output", type=click.Choice(["json", "csv"]), default="json",
               show_default=True)
-@click.option("--decimal-digits", type=int, default=12, show_default=True)
-def table(problem: str, model: str | None, p_range: str, n_range: str | None,
+@_digits_option
+def table(problem: str, model: str, p_range: str, n_range: str | None,
           a: str | None, output: str, decimal_digits: int) -> None:
     """Tabulate a closed form over inclusive p and n ranges."""
+    form = closed_form(problem, model)
+    a_value = _truncation(model, a)
+    _require_n(problem, n_range)
     p_lo, p_hi = _parse_range(p_range, "--p")
-    a_value = None
-    if problem == "pr":
-        if model not in (None, "pickup"):
-            raise click.UsageError("pr is defined for the pick-up sticks model only")
-        if n_range is not None:
-            raise click.UsageError("pr does not depend on --n")
-        model = "pickup"
-        grid = [(p, None) for p in range(p_lo, p_hi + 1)]
-    else:
-        if n_range is None:
-            raise click.UsageError(f"{problem} requires --n")
+    ns = [None]
+    if n_range is not None:
         n_lo, n_hi = _parse_range(n_range, "--n")
-        if problem == "pa":
-            if model not in (None, "pickup"):
-                click.echo(
-                    f"no closed form for pa under the {model} model; "
-                    "fall back to the Monte Carlo estimator (simulate --event pa)",
-                    err=True,
-                )
-                sys.exit(3)
-            model = "pickup"
-        else:
-            model = model or "pickup"
-        if model == "truncated":
-            if a is None:
-                raise click.UsageError("model truncated requires --a")
-            a_value = _parse_fraction(a, "--a")
-        elif a is not None:
-            raise click.UsageError("--a only applies to the truncated model")
-        grid = [(p, n) for p in range(p_lo, p_hi + 1) for n in range(n_lo, n_hi + 1)]
+        ns = range(n_lo, n_hi + 1)
 
     cells = []
-    for p, n in grid:
-        try:
-            if problem == "pr":
-                prob = pr_pickup(p)
-            elif problem == "pa":
-                prob = pa_pickup(p, n)
-            elif model == "pickup":
-                prob = pn_pickup(p, n)
-            elif model == "broken":
-                prob = pn_broken(p, n)
-            elif model == "exponential":
-                prob = pn_exponential(p, n)
-            else:
-                prob = pn_pickup_truncated(p, n, a_value)
-        except UnsupportedFormulaError as exc:
-            click.echo(str(exc), err=True)
-            sys.exit(3)
-        except DomainError as exc:
-            raise click.UsageError(str(exc)) from exc
-        cells.append({
-            "p": p,
-            "n": n,
-            "exact": {"num": prob.numerator, "den": prob.denominator},
-            "decimal": prob.decimal(decimal_digits),
-        })
+    for p in range(p_lo, p_hi + 1):
+        for n in ns:
+            prob = form(p, n, a_value)
+            cells.append({"p": p, "n": n, **_exact_payload(prob, decimal_digits)})
 
     if output == "csv":
         buf = io.StringIO()
@@ -413,20 +292,15 @@ def table(problem: str, model: str | None, p_range: str, n_range: str | None,
             ])
         click.echo(buf.getvalue(), nl=False)
         return
-    _emit({
-        "schema_version": SCHEMA_VERSION,
-        "command": "table",
-        "inputs": {
-            "problem": problem,
-            "model": model,
-            "p": p_range,
-            "n": n_range,
-            "a": str(a_value) if a_value is not None else None,
-            "output": output,
-            "decimal_digits": decimal_digits,
-        },
-        "cells": cells,
-    })
+    _emit("table", {
+        "problem": problem,
+        "model": model,
+        "p": p_range,
+        "n": n_range,
+        "a": str(a_value) if a_value is not None else None,
+        "output": output,
+        "decimal_digits": decimal_digits,
+    }, cells=cells)
 
 
 # ---------------------------------------------------------------------------
@@ -445,16 +319,7 @@ def constants() -> None:
 def constants_fib(p: int, i_range: str) -> None:
     """p-step Fibonacci numbers over an index range."""
     lo, hi = _parse_range(i_range, "--i")
-    try:
-        values = [fib(p, i) for i in range(lo, hi + 1)]
-    except DomainError as exc:
-        raise click.UsageError(str(exc)) from exc
-    _emit({
-        "schema_version": SCHEMA_VERSION,
-        "command": "constants",
-        "inputs": {"kind": "fib", "p": p, "lo": lo, "hi": hi},
-        "result": {"values": values},
-    })
+    _emit("constants", {"kind": "fib", "p": p, "lo": lo, "hi": hi}, result={"values": [fib(p, i) for i in range(lo, hi + 1)]})
 
 
 @constants.command("m")
@@ -462,16 +327,8 @@ def constants_fib(p: int, i_range: str) -> None:
 @click.option("--n", "n", type=int, required=True)
 def constants_m(p: int, n: int) -> None:
     """Pick-up sticks denominators m_1..m_n."""
-    try:
-        values = list(m_constants(p, n))
-    except DomainError as exc:
-        raise click.UsageError(str(exc)) from exc
-    _emit({
-        "schema_version": SCHEMA_VERSION,
-        "command": "constants",
-        "inputs": {"kind": "m", "p": p, "n": n},
-        "result": {"values": values},
-    })
+    _emit("constants", {"kind": "m", "p": p, "n": n},
+          result={"values": list(m_constants(p, n))})
 
 
 @constants.command("s")
@@ -479,16 +336,8 @@ def constants_m(p: int, n: int) -> None:
 @click.option("--n", "n", type=int, required=True)
 def constants_s(p: int, n: int) -> None:
     """Broken-stick denominators s_1..s_{n-1} (s_n = 1 implied)."""
-    try:
-        values = list(s_constants(p, n))
-    except DomainError as exc:
-        raise click.UsageError(str(exc)) from exc
-    _emit({
-        "schema_version": SCHEMA_VERSION,
-        "command": "constants",
-        "inputs": {"kind": "s", "p": p, "n": n},
-        "result": {"values": values, "terminal": 1},
-    })
+    _emit("constants", {"kind": "s", "p": p, "n": n},
+          result={"values": list(s_constants(p, n)), "terminal": 1})
 
 
 @constants.command("emax")
@@ -499,19 +348,11 @@ def constants_s(p: int, n: int) -> None:
               show_default=True)
 def constants_emax(p: int, n: int, i: int, model: str) -> None:
     """The upper-bound data for one stick: denominator and numerator form."""
-    try:
-        den, form = max_length_form(p, n, i, model)
-    except DomainError as exc:
-        raise click.UsageError(str(exc)) from exc
-    _emit({
-        "schema_version": SCHEMA_VERSION,
-        "command": "constants",
-        "inputs": {"kind": "emax", "p": p, "n": n, "i": i, "model": model},
-        "result": {
-            "denominator": den,
-            "numerator_form": _form_payload(form),
-            "text": f"l{i}_max = (1 - ({form})) / {den}",
-        },
+    den, form = max_length_form(p, n, i, model)
+    _emit("constants", {"kind": "emax", "p": p, "n": n, "i": i, "model": model}, result={
+        "denominator": den,
+        "numerator_form": _form_payload(form),
+        "text": f"l{i}_max = (1 - ({form})) / {den}",
     })
 
 
@@ -526,25 +367,14 @@ def constants_emax(p: int, n: int, i: int, model: str) -> None:
 @click.option("--trials", type=int, default=1_000_000, show_default=True,
               help="Trials per Monte Carlo concordance target.")
 @click.option("--seed", type=int, default=MC_BASE_SEED, show_default=True)
-@click.option("--workers", type=int, default=None,
-              help="Defaults to STICKPROB_WORKERS, else 1.")
-def verify(suite: str, trials: int, seed: int, workers: int | None) -> None:
+@_workers_option
+def verify(suite: str, trials: int, seed: int, workers: int) -> None:
     """Run the named identity checks; exit nonzero if any fail."""
-    if workers is None:
-        workers = _default_workers()
-    try:
-        results = run_suite(suite, trials=trials, seed=seed, workers=workers)
-    except (DomainError, ResourceLimitError, ValueError) as exc:
-        raise click.UsageError(str(exc)) from exc
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
-        "inputs": {"suite": suite, "trials": trials, "seed": seed, "workers": workers},
-        "checks": [asdict(result) for result in results],
-        "passed": all(result.passed for result in results),
-    }
-    _emit(payload)
-    if not payload["passed"]:
+    results = run_suite(suite, trials=trials, seed=seed, workers=workers)
+    passed = all(result.passed for result in results)
+    _emit("verify", {"suite": suite, "trials": trials, "seed": seed, "workers": workers},
+          checks=[asdict(result) for result in results], passed=passed)
+    if not passed:
         sys.exit(1)
 
 

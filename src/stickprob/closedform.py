@@ -9,7 +9,8 @@ n-1 uniform positions).
 
 Everything returns an ``ExactProb``: a reduced big-integer fraction.  The
 PN evaluators each run two algebraically distinct routes and assert their
-agreement (skipped under ``python -O``).
+agreement (skipped under ``python -O``).  ``closed_form`` is the one
+place that says which evaluator serves which (event, model) pair.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from .sequences import fib, fib_prefix_sum, t_value
 
 __all__ = [
     "ExactProb",
+    "closed_form",
     "is_vacuous",
     "pn_pickup",
-    "pn_pickup_quadrilateral",
     "pn_pickup_truncated",
     "pn_broken",
     "pn_exponential",
@@ -135,17 +136,6 @@ def pn_pickup(p: int, n: int) -> ExactProb:
     return ExactProb.from_fraction(result)
 
 
-def pn_pickup_quadrilateral(n: int) -> ExactProb:
-    """Tribonacci-only form of pn_pickup(3, n), kept as an independent
-    cross-check: 1 / ((T_n - T_{n-2}) * T_1 * ... * T_{n-1})."""
-    if n < 4:
-        raise DomainError(f"the quadrilateral form needs n >= 4, got {n}")
-    den = fib(3, n) - fib(3, n - 2)
-    for i in range(1, n):
-        den *= fib(3, i)
-    return ExactProb.from_fraction(Fraction(1, den))
-
-
 def pn_pickup_truncated(p: int, n: int, a: RationalLike) -> ExactProb:
     """PN when the lengths are uniform on [a, 1] instead of [0, 1].
 
@@ -231,7 +221,7 @@ def pa_pickup(p: int, n: int) -> ExactProb:
     if p not in (2, 3):
         raise UnsupportedFormulaError(
             "no closed form for the all-subsets probability with p >= 4; "
-            "fall back to the Monte Carlo estimator (simulate --event pa)"
+            "fall back to the Monte Carlo estimator (simulate --event pa --model pickup)"
         )
     if is_vacuous(p, n):
         return ExactProb(1, 1)
@@ -249,3 +239,32 @@ def pr_pickup(p: int) -> ExactProb:
     """
     _require_p(p)
     return ExactProb.from_fraction(1 - Fraction(1, factorial(p)))
+
+
+# (event, model) -> evaluator of (p, n, a); n is ignored by pr, a by every
+# model but truncated.  The lambdas look the evaluators up as module
+# globals at call time, so a wrapper rebound over one is honoured.
+_CLOSED_FORMS = {
+    ("pn", "pickup"): lambda p, n, a: pn_pickup(p, n),
+    ("pn", "truncated"): lambda p, n, a: pn_pickup_truncated(p, n, a),
+    ("pn", "exponential"): lambda p, n, a: pn_exponential(p, n),
+    ("pn", "broken"): lambda p, n, a: pn_broken(p, n),
+    ("pa", "pickup"): lambda p, n, a: pa_pickup(p, n),
+    ("pr", "pickup"): lambda p, n, a: pr_pickup(p),
+}
+
+
+def closed_form(event: str, model: str):
+    """The exact evaluator ``(p, n, a) -> ExactProb`` for an event
+    (pn/pa/pr) under a sampling model (pickup/truncated/exponential/broken).
+
+    Raises UnsupportedFormulaError for a pair without a closed form; the
+    evaluator itself raises it where the formula stops (pa for p >= 4).
+    """
+    try:
+        return _CLOSED_FORMS[event, model]
+    except KeyError:
+        raise UnsupportedFormulaError(
+            f"no closed form for {event} under the {model} model; fall back to "
+            f"the Monte Carlo estimator (simulate --event {event} --model {model})"
+        ) from None

@@ -28,10 +28,8 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
-    "UNIFORM01",
-    "UNIFORM_TRUNCATED",
-    "EXPONENTIAL",
-    "BROKEN_STICK",
+    "MODELS",
+    "EVENTS",
     "NO_POLYGON",
     "ALL_POLYGON",
     "RANDOM_SUBSET_POLYGON",
@@ -45,16 +43,14 @@ __all__ = [
     "estimate",
 ]
 
-UNIFORM01 = "uniform01"
-UNIFORM_TRUNCATED = "uniform_truncated"
-EXPONENTIAL = "exponential"
-BROKEN_STICK = "broken_stick"
-_DIST_KINDS = (UNIFORM01, UNIFORM_TRUNCATED, EXPONENTIAL, BROKEN_STICK)
+# sampling models, named as in the CLI and the closed-form table
+MODELS = ("pickup", "truncated", "exponential", "broken")
 
 NO_POLYGON = "no_polygon"
 ALL_POLYGON = "all_polygon"
 RANDOM_SUBSET_POLYGON = "random_subset_polygon"
-_EVENT_KINDS = (NO_POLYGON, ALL_POLYGON, RANDOM_SUBSET_POLYGON)
+# the event kinds under the CLI's short names
+EVENTS = {"pn": NO_POLYGON, "pa": ALL_POLYGON, "pr": RANDOM_SUBSET_POLYGON}
 
 _WORDS_PER_BLOCK = 4  # Philox4x64 words per counter increment
 _TRIALS_PER_CHUNK = 1 << 16
@@ -70,32 +66,32 @@ class DistributionSpec:
     rate: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in _DIST_KINDS:
-            raise DomainError(f"unknown distribution kind {self.kind!r}")
-        if self.kind == UNIFORM_TRUNCATED and not 0.0 <= self.a < 1.0:
+        if self.kind not in MODELS:
+            raise DomainError(f"unknown sampling model {self.kind!r}")
+        if self.kind == "truncated" and not 0.0 <= self.a < 1.0:
             raise DomainError(f"truncation point must lie in [0, 1), got {self.a}")
-        if self.kind == EXPONENTIAL and not self.rate > 0.0:
+        if self.kind == "exponential" and not self.rate > 0.0:
             raise DomainError(f"rate must be positive, got {self.rate}")
 
     @classmethod
     def uniform01(cls) -> "DistributionSpec":
-        return cls(UNIFORM01)
+        return cls("pickup")
 
     @classmethod
     def uniform_truncated(cls, a: float) -> "DistributionSpec":
-        return cls(UNIFORM_TRUNCATED, a=float(a))
+        return cls("truncated", a=float(a))
 
     @classmethod
     def exponential(cls, rate: float = 1.0) -> "DistributionSpec":
-        return cls(EXPONENTIAL, rate=float(rate))
+        return cls("exponential", rate=float(rate))
 
     @classmethod
     def broken_stick(cls) -> "DistributionSpec":
-        return cls(BROKEN_STICK)
+        return cls("broken")
 
     def uniforms_per_trial(self, n: int) -> int:
         # a broken stick with n pieces needs only its n-1 cut points
-        return n - 1 if self.kind == BROKEN_STICK else n
+        return n - 1 if self.kind == "broken" else n
 
 
 @dataclass(frozen=True)
@@ -106,7 +102,7 @@ class EventSpec:
     p: int
 
     def __post_init__(self) -> None:
-        if self.kind not in _EVENT_KINDS:
+        if self.kind not in EVENTS.values():
             raise DomainError(f"unknown event kind {self.kind!r}")
         if self.p < 2:
             raise DomainError(f"polygon parameter p must be >= 2, got {self.p}")
@@ -133,11 +129,11 @@ def _lengths_from_uniforms(
     dist: DistributionSpec, n: int, u: np.ndarray
 ) -> np.ndarray:
     """Map rows of uniforms to rows of sorted lengths."""
-    if dist.kind == UNIFORM01:
+    if dist.kind == "pickup":
         x = u
-    elif dist.kind == UNIFORM_TRUNCATED:
+    elif dist.kind == "truncated":
         x = dist.a + (1.0 - dist.a) * u
-    elif dist.kind == EXPONENTIAL:
+    elif dist.kind == "exponential":
         x = -np.log1p(-u) / dist.rate
     else:
         cuts = np.sort(u, axis=1)

@@ -17,11 +17,12 @@ from random import Random
 
 from . import constraints, montecarlo, oracle
 from .closedform import (
+    ExactProb,
+    closed_form,
     pa_pickup,
     pn_broken,
     pn_exponential,
     pn_pickup,
-    pn_pickup_quadrilateral,
     pn_pickup_truncated,
     pr_pickup,
 )
@@ -34,8 +35,9 @@ from .constraints import (
     s_constants,
     sample_feasible_prefix,
 )
+from .errors import DomainError
 from .montecarlo import (
-    ALL_POLYGON,
+    EVENTS,
     NO_POLYGON,
     RANDOM_SUBSET_POLYGON,
     DistributionSpec,
@@ -205,11 +207,22 @@ def check_interval_telescoping_identity(
     return _result("interval_telescoping_identity", bad)
 
 
+def _pn_pickup_quadrilateral(n: int) -> ExactProb:
+    """Tribonacci-only form of pn_pickup(3, n), an independent route:
+    1 / ((T_n - T_{n-2}) * T_1 * ... * T_{n-1})."""
+    if n < 4:
+        raise DomainError(f"the quadrilateral form needs n >= 4, got {n}")
+    den = fib(3, n) - fib(3, n - 2)
+    for i in range(1, n):
+        den *= fib(3, i)
+    return ExactProb.from_fraction(Fraction(1, den))
+
+
 def check_quadrilateral_form_agrees() -> CheckResult:
     bad = [
         f"n={n}"
         for n in range(4, 21)
-        if pn_pickup(3, n).fraction != pn_pickup_quadrilateral(n).fraction
+        if pn_pickup(3, n).fraction != _pn_pickup_quadrilateral(n).fraction
     ]
     return _result("quadrilateral_form_agrees", bad)
 
@@ -396,44 +409,37 @@ class ConcordanceTarget:
     exact: Fraction
 
 
+# (event, model, p, n values) shaken statistically; pr is independent of n
+_CONCORDANCE_GRID = (
+    ("pn", "pickup", 2, range(3, 8)),
+    ("pn", "pickup", 3, range(4, 8)),
+    ("pn", "broken", 2, range(3, 7)),
+    ("pn", "exponential", 2, range(3, 6)),
+    ("pn", "truncated", 2, range(3, 5)),
+    ("pa", "pickup", 2, range(3, 7)),
+    ("pa", "pickup", 3, range(4, 7)),
+    ("pr", "pickup", 2, (6,)),
+    ("pr", "pickup", 3, (6,)),
+)
+_CONCORDANCE_TRUNCATION = Fraction(1, 10)
+
+
 def concordance_targets() -> tuple[ConcordanceTarget, ...]:
     """Every closed form worth shaking statistically, with its exact value."""
-    targets: list[ConcordanceTarget] = []
-
-    def add(label, kind, dist, p, n, exact):
-        targets.append(
-            ConcordanceTarget(label, EventSpec(kind, p), dist, n, exact)
-        )
-
-    uniform = DistributionSpec.uniform01()
-    broken = DistributionSpec.broken_stick()
-    expo = DistributionSpec.exponential(1.0)
-    trunc = DistributionSpec.uniform_truncated(0.1)
-
-    for n in range(3, 8):
-        add(f"pn-pickup-p2-n{n}", NO_POLYGON, uniform, 2, n,
-            pn_pickup(2, n).fraction)
-    for n in range(4, 8):
-        add(f"pn-pickup-p3-n{n}", NO_POLYGON, uniform, 3, n,
-            pn_pickup(3, n).fraction)
-    for n in range(3, 7):
-        add(f"pn-broken-p2-n{n}", NO_POLYGON, broken, 2, n,
-            pn_broken(2, n).fraction)
-    for n in range(3, 6):
-        add(f"pn-exponential-p2-n{n}", NO_POLYGON, expo, 2, n,
-            pn_exponential(2, n).fraction)
-    for n in range(3, 5):
-        add(f"pn-truncated-p2-n{n}-a1/10", NO_POLYGON, trunc, 2, n,
-            pn_pickup_truncated(2, n, Fraction(1, 10)).fraction)
-    for n in range(3, 7):
-        add(f"pa-pickup-p2-n{n}", ALL_POLYGON, uniform, 2, n,
-            pa_pickup(2, n).fraction)
-    for n in range(4, 7):
-        add(f"pa-pickup-p3-n{n}", ALL_POLYGON, uniform, 3, n,
-            pa_pickup(3, n).fraction)
-    for p in (2, 3):
-        add(f"pr-pickup-p{p}", RANDOM_SUBSET_POLYGON, uniform, p, 6,
-            pr_pickup(p).fraction)
+    targets = []
+    for event, model, p, ns in _CONCORDANCE_GRID:
+        a = _CONCORDANCE_TRUNCATION if model == "truncated" else None
+        dist = DistributionSpec(model, a=float(a or 0))
+        form = closed_form(event, model)
+        for n in ns:
+            label = f"{event}-{model}-p{p}"
+            if event != "pr":
+                label += f"-n{n}"
+            if a is not None:
+                label += f"-a{a}"
+            targets.append(ConcordanceTarget(
+                label, EventSpec(EVENTS[event], p), dist, n, form(p, n, a).fraction
+            ))
     return tuple(targets)
 
 

@@ -1,221 +1,112 @@
 """Acceptance criteria, one test per criterion.
 
-Each test prints a single pass/fail line (visible with ``pytest -s`` or in
-the failure report).  Tolerances: every algebraic criterion is exact with
-zero tolerance; the Monte Carlo criterion allows 4 standard errors with
-one retry at tenfold trials.
+Each test runs the named checks behind ``stickprob verify`` and prints a
+single pass/fail line (visible with ``pytest -s`` or in the failure
+report).  Tolerances: every algebraic criterion is exact with zero
+tolerance; the Monte Carlo criterion allows 4 standard errors with one
+retry at tenfold trials.
 """
 
 import time
 from fractions import Fraction
-from math import factorial
-from random import Random
 
-from stickprob.closedform import (
-    pn_broken,
-    pn_exponential,
-    pn_pickup,
-    pn_pickup_truncated,
-)
-from stickprob.constraints import (
-    check_max_min_identity,
-    m_constants,
-    m_constants_via_jacobian,
-    max_length_form,
-    sample_feasible_prefix,
-)
-from stickprob.montecarlo import (
-    NO_POLYGON,
-    RANDOM_SUBSET_POLYGON,
-    DistributionSpec,
-    EventSpec,
-    estimate,
-)
-from stickprob.oracle import r_vector, symbolic_pn_pickup, symbolic_pn_truncated
-from stickprob.sequences import fib
-from stickprob.verify import run_concordance
+from stickprob import verify
+from stickprob.closedform import pn_broken
+from stickprob.verify import CheckResult
 
 
-def _report(criterion: str, passed: bool, detail: str = "") -> None:
-    line = f"[acceptance] {criterion}: {'PASS' if passed else 'FAIL'}"
+def _report(criterion: str, *checks: CheckResult, note: str = "") -> None:
+    failures = [f"{check.name}: {check.detail}" for check in checks if not check.passed]
+    line = f"[acceptance] {criterion}: {'FAIL' if failures else 'PASS'}"
+    detail = "; ".join(failures) or note
     if detail:
         line += f"  ({detail})"
     print(line)
-    assert passed, line
+    assert not failures, line
+
+
+def _within(budget_s: float, start: float) -> CheckResult:
+    elapsed = time.perf_counter() - start
+    return CheckResult("budget", elapsed < budget_s, f"took {elapsed:.3g}s, budget {budget_s:g}s")
 
 
 def test_c01_exact_formula_reproduction():
     start = time.perf_counter()
-    failures = []
-    for n in range(3, 21):
-        product = 1
-        for i in range(1, n + 1):
-            product *= fib(2, i)
-        if pn_pickup(2, n).fraction != Fraction(1, product):
-            failures.append(f"p=2 n={n}")
-    for n in range(4, 21):
-        den = fib(3, n) - fib(3, n - 2)
-        for i in range(1, n):
-            den *= fib(3, i)
-        if pn_pickup(3, n).fraction != Fraction(1, den):
-            failures.append(f"p=3 n={n}")
-    elapsed = time.perf_counter() - start
-    if elapsed >= 1.0:
-        failures.append(f"took {elapsed:.2f}s, budget 1s")
-    _report(
-        "C1 exact formula reproduction (p=2,3; n<=20)",
-        not failures,
-        f"{elapsed * 1000:.0f}ms" if not failures else "; ".join(failures),
+    checks = (
+        verify.check_triangle_product_inverts_fibonorial(),
+        verify.check_quadrilateral_form_agrees(),
     )
+    budget = _within(1.0, start)
+    _report("C1 exact formula reproduction (p=2,3; n<=20)", *checks, budget,
+            note=budget.detail)
 
 
 def test_c02_no_ngon_reduces_to_factorial():
-    failures = [
-        f"n={n}"
-        for n in range(3, 13)
-        if pn_pickup(n - 1, n).fraction != Fraction(1, factorial(n - 1))
-    ]
     _report(
         "C2 pickup reduction PN(n-1, n) = 1/(n-1)!",
-        not failures,
-        "; ".join(failures),
+        verify.check_all_gone_reduction_factorial(),
     )
 
 
 def test_c03_broken_stick_reductions():
-    failures = [
-        f"n={n}"
-        for n in range(3, 13)
-        if pn_broken(n - 1, n).fraction != Fraction(n, 2 ** (n - 1))
-    ]
-    if pn_broken(2, 3).fraction != Fraction(3, 4):
-        failures.append("PN broken (2,3) != 3/4")
+    literal = pn_broken(2, 3).fraction
     _report(
         "C3 broken reductions PN(n-1, n) = n/2^(n-1), PN(2,3) = 3/4",
-        not failures,
-        "; ".join(failures),
+        verify.check_broken_reduction_power_of_two(),
+        CheckResult("broken_p2_n3", literal == Fraction(3, 4), f"PN broken (2,3) = {literal}"),
     )
 
 
 def test_c04_exponential_equals_broken():
-    failures = [
-        f"p={p} n={n}"
-        for p in range(2, 6)
-        for n in range(p + 1, 13)
-        if pn_exponential(p, n).fraction != pn_broken(p, n).fraction
-    ]
     _report(
         "C4 exponential model equals broken stick (p<=5, n<=12)",
-        not failures,
-        "; ".join(failures),
+        verify.check_exponential_matches_broken(),
     )
 
 
 def test_c05_triple_derivation_of_m():
-    failures = []
-    for p in range(2, 7):
-        for n in range(p + 1, 31):
-            closed = m_constants(p, n)
-            jacobian = m_constants_via_jacobian(p, n)
-            vector = tuple(
-                max_length_form(p, n, i)[0] for i in range(1, n)
-            ) + (1,)
-            if not closed == jacobian == vector:
-                failures.append(f"p={p} n={n}")
     _report(
         "C5 three derivations of m agree (p<=6, n<=30)",
-        not failures,
-        "; ".join(failures),
+        verify.check_triple_derivation_of_m(),
     )
 
 
 def test_c06_symbolic_integration_oracle():
     start = time.perf_counter()
-    failures = []
-    grid = [(p, n) for p in (2, 3) for n in range(p + 1, 8)]
-    grid += [(4, 5), (4, 6)]
-    for p, n in grid:
-        if symbolic_pn_pickup(p, n).fraction != pn_pickup(p, n).fraction:
-            failures.append(f"p={p} n={n}")
-    if symbolic_pn_truncated(2, 3, Fraction(1, 4)).fraction != Fraction(4, 27):
-        failures.append("truncated (2,3,1/4) != 4/27")
-    elapsed = time.perf_counter() - start
-    if elapsed >= 60.0:
-        failures.append(f"took {elapsed:.1f}s, budget 60s")
-    _report(
-        "C6 symbolic integration oracle matches closed forms",
-        not failures,
-        f"{elapsed:.2f}s" if not failures else "; ".join(failures),
+    checks = (
+        verify.check_symbolic_integration_matches_closed_form(),
+        verify.check_symbolic_truncated_matches_closed_form(),
     )
+    budget = _within(60.0, start)
+    _report("C6 symbolic integration oracle matches closed forms", *checks, budget,
+            note=budget.detail)
 
 
 def test_c07_matrix_recurrence_closed_forms():
-    failures = []
-    for p in range(2, 7):
-        for l in range(1, 31):
-            r = r_vector(p, l)
-            if r[p - 1] != fib(p, l) or r[p - 2] != fib(p, l + 1):
-                failures.append(f"p={p} l={l}")
-                continue
-            for i in range(1, p - 1):
-                expected = fib(p, l + p - i) - sum(
-                    (p - i - j) * fib(p, l + j - 1) for j in range(1, p - i)
-                )
-                if r[i - 1] != expected:
-                    failures.append(f"p={p} l={l} entry {i}")
-                    break
     _report(
         "C7 matrix recurrence entries match step-Fibonacci forms (p<=6, l<=30)",
-        not failures,
-        "; ".join(failures),
+        verify.check_matrix_recurrence_matches_step_fib(),
     )
 
 
 def test_c08_interval_identity_on_random_prefixes():
-    rng = Random(88310)
-    failures = []
-    checked = 0
-    for p in (2, 3, 4):
-        for n in range(p + 1, 9):
-            for _ in range(200):
-                k = rng.randint(1, n - 1)
-                prefix = sample_feasible_prefix(p, n, k, rng)
-                checked += 1
-                if not check_max_min_identity(p, n, prefix):
-                    failures.append(f"p={p} n={n} prefix={prefix}")
     _report(
         "C8 interval telescoping identity on random feasible prefixes",
-        not failures,
-        f"{checked} prefixes" if not failures else "; ".join(failures),
+        verify.check_interval_telescoping_identity(),
     )
 
 
 def test_c09_monte_carlo_concordance():
-    results = run_concordance(trials=10**6, workers=4)
-    failures = [f"{r.name}: {r.detail}" for r in results if not r.passed]
+    results = verify.run_concordance(trials=10**6, workers=4)
     _report(
         "C9 Monte Carlo concordance at 1e6 trials (4 sigma, 1e7 retry)",
-        not failures,
-        f"{len(results)} targets" if not failures else "; ".join(failures),
+        *results,
+        note=f"{len(results)} targets",
     )
 
 
 def test_c10_reproducibility_across_workers():
-    failures = []
-    cases = [
-        (EventSpec(NO_POLYGON, 2), DistributionSpec.uniform01(), 5),
-        (EventSpec(RANDOM_SUBSET_POLYGON, 2), DistributionSpec.broken_stick(), 5),
-    ]
-    for event, dist, n in cases:
-        runs = [
-            estimate(event, dist, n, 10**6, 42, workers=w) for w in (1, 4, 8)
-        ]
-        if len({run.successes for run in runs}) != 1 or len(
-            {run.p_hat for run in runs}
-        ) != 1:
-            failures.append(f"{event.kind}/{dist.kind}")
     _report(
         "C10 seed 42 at 1e6 trials is bit-identical for 1, 4, 8 workers",
-        not failures,
-        "; ".join(failures),
+        verify.check_workers_bit_identical(10**6, 42),
     )

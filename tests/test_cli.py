@@ -75,10 +75,33 @@ class TestCompute:
             ["compute", "pn", "--model", "truncated", "--p", "2", "--n", "3"],  # missing a
             ["compute", "pn", "--model", "truncated", "--p", "2", "--n", "3", "--a", "x"],
             ["compute", "pn", "--p", "2", "--n", "4", "--frob"],  # unknown flag
+            ["compute", "pn", "--p", "2", "--n", "4", "--decimal-digits", "-1"],
+            ["table", "pn", "--p", "2", "--n", "3:5", "--decimal-digits", "-1"],
+            ["simulate", "--event", "pn", "--model", "exponential", "--p", "2",
+             "--n", "4", "--trials", "10", "--rate", "nan"],
+            ["simulate", "--event", "pn", "--model", "exponential", "--p", "2",
+             "--n", "4", "--trials", "10", "--rate", "0"],
+            ["simulate", "--event", "pn", "--model", "exponential", "--p", "2",
+             "--n", "4", "--trials", "10", "--rate", "-1"],
         ]
         for args in cases:
-            res = runner.invoke(cli, args)
+            # an exception the CLI lets escape fails here instead of exiting 1
+            res = runner.invoke(cli, args, catch_exceptions=False)
             assert res.exit_code == 2, args
+            assert "Traceback" not in res.output, args
+
+    @pytest.mark.parametrize(("args", "event", "model"), [
+        (["compute", "pa", "--model", "broken", "--p", "2", "--n", "4"], "pa", "broken"),
+        (["compute", "pr", "--model", "broken", "--p", "2"], "pr", "broken"),
+        (["table", "pr", "--model", "broken", "--p", "2:3"], "pr", "broken"),
+        (["table", "pa", "--model", "truncated", "--p", "2", "--n", "4:5", "--a", "1/4"],
+         "pa", "truncated"),
+    ])
+    def test_pair_without_closed_form_exits_3(self, runner, args, event, model):
+        res = runner.invoke(cli, args)
+        assert res.exit_code == 3
+        assert res.stdout == ""
+        assert f"simulate --event {event} --model {model}" in res.stderr
 
 
 class TestSimulate:

@@ -10,13 +10,13 @@ from stickprob.closedform import (
     pn_broken,
     pn_exponential,
     pn_pickup,
-    pn_pickup_quadrilateral,
     pn_pickup_truncated,
     pr_pickup,
 )
 from stickprob.constraints import m_constants
 from stickprob.errors import DomainError, UnsupportedFormulaError
 from stickprob.sequences import fib
+from stickprob.verify import _pn_pickup_quadrilateral
 
 
 class TestExactProb:
@@ -84,15 +84,15 @@ class TestQuadrilateralForm:
         [(4, Fraction(1, 6)), (5, Fraction(1, 40)), (6, Fraction(1, 504))],
     )
     def test_reference_values(self, n, expected):
-        assert pn_pickup_quadrilateral(n).fraction == expected
+        assert _pn_pickup_quadrilateral(n).fraction == expected
 
     def test_matches_general_form(self):
         for n in range(4, 21):
-            assert pn_pickup_quadrilateral(n).fraction == pn_pickup(3, n).fraction
+            assert _pn_pickup_quadrilateral(n).fraction == pn_pickup(3, n).fraction
 
     def test_rejects_small_n(self):
         with pytest.raises(DomainError):
-            pn_pickup_quadrilateral(3)
+            _pn_pickup_quadrilateral(3)
 
 
 class TestPnTruncated:
