@@ -9,8 +9,9 @@ n-1 uniform positions).
 
 Everything returns an ``ExactProb``: a reduced big-integer fraction.  The
 PN evaluators each run two algebraically distinct routes and assert their
-agreement (skipped under ``python -O``).  ``closed_form`` is the one
-place that says which evaluator serves which (event, model) pair.
+agreement (skipped under ``python -O``).  Each denominator is a balanced
+product tree over the n factors (``_product``).  ``closed_form`` is the
+one place that says which evaluator serves which (event, model) pair.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
-from typing import Union
+from typing import Callable, Iterable, Union
 
 from .constraints import m_constants, s_constants
-from .errors import DomainError, UnsupportedFormulaError
+from .errors import DomainError, ResourceLimitError, UnsupportedFormulaError
 from .sequences import fib, fib_prefix_sum, t_value
 
 __all__ = [
@@ -37,6 +38,9 @@ __all__ = [
 ]
 
 RationalLike = Union[Fraction, int, str]
+
+# below CPython's 4300-digit int->str limit, which a rendering must not reach
+MAX_DECIMAL_DIGITS = 4000
 
 
 @dataclass(frozen=True)
@@ -71,6 +75,10 @@ class ExactProb:
         """Fixed-point decimal rendering, rounded half away from zero."""
         if digits < 0:
             raise DomainError(f"digits must be >= 0, got {digits}")
+        if digits > MAX_DECIMAL_DIGITS:
+            raise ResourceLimitError(
+                f"digits must be <= {MAX_DECIMAL_DIGITS}, got {digits}"
+            )
         scaled, rem = divmod(self.numerator * 10**digits, self.denominator)
         if 2 * rem >= self.denominator:
             scaled += 1
@@ -105,17 +113,32 @@ def is_vacuous(p: int, n: int) -> bool:
     return n <= p
 
 
+def _product(values: Iterable[int]) -> int:
+    """The product by balanced pairwise halving, 1 if empty.  Neighbouring
+    factors have similar sizes, so each level multiplies operands of about
+    equal length; a running product costs the square of the result's size."""
+    level = list(values) or [1]
+    while len(level) > 1:
+        odd = level[-1:] if len(level) % 2 else []
+        level = [a * b for a, b in zip(level[0::2], level[1::2])] + odd
+    return level[0]
+
+
+def _corrected_product(value: Callable[[int], int], p: int, n: int) -> int:
+    """The product of value(i) for i = 1..n, where each of the last p-2
+    factors loses the weighted tail sum of j * value(i-j-1)."""
+    return _product(
+        [value(i) for i in range(1, n - p + 3)]
+        + [
+            value(i) - sum(j * value(i - j - 1) for j in range(1, i - n + p - 1))
+            for i in range(n - p + 3, n + 1)
+        ]
+    )
+
+
 def _pn_pickup_step_fib(p: int, n: int) -> Fraction:
-    # direct product over the step-Fibonacci numbers, corrections on the
-    # last p-2 factors
-    den = 1
-    for i in range(1, n - p + 3):
-        den *= fib(p, i)
-    for i in range(n - p + 3, n + 1):
-        den *= fib(p, i) - sum(
-            j * fib(p, i - j - 1) for j in range(1, i - n + p - 1)
-        )
-    return Fraction(1, den)
+    # direct product over the step-Fibonacci numbers
+    return Fraction(1, _corrected_product(lambda i: fib(p, i), p, n))
 
 
 def pn_pickup(p: int, n: int) -> ExactProb:
@@ -128,10 +151,7 @@ def pn_pickup(p: int, n: int) -> ExactProb:
     _require_n(n)
     if is_vacuous(p, n):
         return ExactProb(1, 1)
-    den = 1
-    for m in m_constants(p, n):
-        den *= m
-    result = Fraction(1, den)
+    result = Fraction(1, _product(m_constants(p, n)))
     assert result == _pn_pickup_step_fib(p, n), "PN pickup routes disagree"
     return ExactProb.from_fraction(result)
 
@@ -152,21 +172,12 @@ def pn_pickup_truncated(p: int, n: int, a: RationalLike) -> ExactProb:
     m = m_constants(p, n)
     if m[0] * a >= 1:
         return ExactProb(0, 1)
-    den = 1
-    for v in m:
-        den *= v
     scale = ((1 - m[0] * a) / (1 - a)) ** n
-    return ExactProb.from_fraction(scale / den)
+    return ExactProb.from_fraction(scale / _product(m))
 
 
 def _pn_broken_prefix_sum_form(p: int, n: int) -> Fraction:
-    den = 1
-    for i in range(1, n - p + 3):
-        den *= fib_prefix_sum(p, i)
-    for i in range(n - p + 3, n + 1):
-        den *= fib_prefix_sum(p, i) - sum(
-            j * fib_prefix_sum(p, i - j - 1) for j in range(1, i - n + p - 1)
-        )
+    den = _corrected_product(lambda i: fib_prefix_sum(p, i), p, n)
     return Fraction(factorial(n), den)
 
 
@@ -180,10 +191,7 @@ def pn_broken(p: int, n: int) -> ExactProb:
     _require_n(n)
     if is_vacuous(p, n):
         return ExactProb(1, 1)
-    den = 1
-    for s in s_constants(p, n):
-        den *= s
-    result = Fraction(factorial(n), den)
+    result = Fraction(factorial(n), _product(s_constants(p, n)))
     assert result == _pn_broken_prefix_sum_form(p, n), "PN broken routes disagree"
     return ExactProb.from_fraction(result)
 
@@ -199,13 +207,7 @@ def pn_exponential(p: int, n: int) -> ExactProb:
     _require_n(n)
     if is_vacuous(p, n):
         return ExactProb(1, 1)
-    den = 1
-    for k in range(1, n - p + 3):
-        den *= t_value(p, k)
-    for k in range(n - p + 3, n + 1):
-        den *= t_value(p, k) - sum(
-            j * t_value(p, k - j - 1) for j in range(1, p + k - n - 1)
-        )
+    den = _corrected_product(lambda k: t_value(p, k), p, n)
     return ExactProb.from_fraction(Fraction(factorial(n), den))
 
 

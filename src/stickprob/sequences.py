@@ -18,13 +18,14 @@ __all__ = ["StepFibTable", "fib", "fib_prefix_sum", "t_value"]
 
 
 class StepFibTable:
-    """Memoized p-step Fibonacci numbers, extended on demand.
+    """Memoized p-step Fibonacci numbers and their cumulative prefix sums.
 
     Lookups behave like a pure function of the index: extension is
     serialized by a lock, published entries are never mutated, and nothing
-    is evicted (index ranges stay tiny at desk scale).  Indices below the
-    initial zero block (lowest defined index: 2 - p) are rejected rather
-    than treated as zeros.
+    is evicted (index ranges stay tiny at desk scale).  Each new F_i also
+    appends SF_i = SF_{i-1} + F_i, so a prefix sum is one lookup.  Indices
+    below the initial zero block (lowest defined index: 2 - p) are
+    rejected rather than treated as zeros.
     """
 
     def __init__(self, p: int) -> None:
@@ -33,6 +34,7 @@ class StepFibTable:
         self.p = p
         self.low = 2 - p
         self._vals = [0] * (p - 1) + [1]  # F_{2-p} .. F_1
+        self._sums = [0, 1]  # SF_0, SF_1; SF_i lands before F_i
         self._lock = threading.Lock()
 
     def fib(self, i: int) -> int:
@@ -46,14 +48,17 @@ class StepFibTable:
         if pos >= len(self._vals):
             with self._lock:
                 while pos >= len(self._vals):
-                    self._vals.append(sum(self._vals[-self.p:]))
+                    value = sum(self._vals[-self.p:])
+                    self._sums.append(self._sums[-1] + value)
+                    self._vals.append(value)
         return self._vals[pos]
 
     def prefix_sum(self, i: int) -> int:
         """SF_i^p = F_1^p + ... + F_i^p, defined for i >= 1."""
         if i < 1:
             raise DomainError(f"prefix sums need i >= 1, got {i}")
-        return sum(self.fib(j) for j in range(1, i + 1))
+        self.fib(i)
+        return self._sums[i]
 
 
 _TABLES: dict[int, StepFibTable] = {}
@@ -78,18 +83,29 @@ def fib_prefix_sum(p: int, i: int) -> int:
     return _table(p).prefix_sum(i)
 
 
+# p -> [t_{2-p}, ..., t_k], extended under _T_LOCK like StepFibTable
+_T_TABLES: dict[int, list[int]] = {}
+_T_LOCK = threading.Lock()
+
+
 def t_value(p: int, k: int) -> int:
     """t_k for the exponential-lengths formula: t_1 = 1, t_k = 0 for
     2 - p <= k <= 0, and t_k = 1 + sum of the previous p values.
 
-    Equals fib_prefix_sum(p, k) for every k >= 1, but is generated by its
-    own recurrence so the two routes can be checked against each other.
+    Equals fib_prefix_sum(p, k) for every k >= 1, but is generated and
+    memoized (per p, like the step-Fibonacci tables) by its own recurrence,
+    never reading those tables, so the two routes can be checked against
+    each other.
     """
     if p < 2:
         raise DomainError(f"step count p must be >= 2, got {p}")
     if k < 1:
         raise DomainError(f"t_k is generated for k >= 1 only, got {k}")
-    vals = [0] * (p - 1) + [1]  # t_{2-p} .. t_1
-    for _ in range(k - 1):
-        vals.append(1 + sum(vals[-p:]))
-    return vals[-1]
+    pos = k + p - 2
+    vals = _T_TABLES.get(p)
+    if vals is None or pos >= len(vals):
+        with _T_LOCK:
+            vals = _T_TABLES.setdefault(p, [0] * (p - 1) + [1])
+            while pos >= len(vals):
+                vals.append(1 + sum(vals[-p:]))
+    return vals[pos]

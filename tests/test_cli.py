@@ -77,6 +77,8 @@ class TestCompute:
             ["compute", "pn", "--p", "2", "--n", "4", "--frob"],  # unknown flag
             ["compute", "pn", "--p", "2", "--n", "4", "--decimal-digits", "-1"],
             ["table", "pn", "--p", "2", "--n", "3:5", "--decimal-digits", "-1"],
+            ["compute", "pn", "--p", "2", "--n", "30", "--decimal-digits", "5000"],
+            ["table", "pn", "--p", "2", "--n", "3:5", "--decimal-digits", "4001"],
             ["simulate", "--event", "pn", "--model", "exponential", "--p", "2",
              "--n", "4", "--trials", "10", "--rate", "nan"],
             ["simulate", "--event", "pn", "--model", "exponential", "--p", "2",

@@ -2,9 +2,12 @@ from fractions import Fraction
 from math import factorial, gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
 from stickprob.closedform import (
+    MAX_DECIMAL_DIGITS,
     ExactProb,
+    _product,
     is_vacuous,
     pa_pickup,
     pn_broken,
@@ -14,7 +17,7 @@ from stickprob.closedform import (
     pr_pickup,
 )
 from stickprob.constraints import m_constants
-from stickprob.errors import DomainError, UnsupportedFormulaError
+from stickprob.errors import DomainError, ResourceLimitError, UnsupportedFormulaError
 from stickprob.sequences import fib
 from stickprob.verify import _pn_pickup_quadrilateral
 
@@ -42,10 +45,42 @@ class TestExactProb:
         assert ExactProb(1, 2).decimal(0) == "1"  # ties round away from zero
         assert ExactProb(1, 3).decimal(12) == "0.333333333333"
 
+    def test_decimal_digits_capped_below_int_str_limit(self):
+        cap = MAX_DECIMAL_DIGITS
+        assert ExactProb(1, 1).decimal(cap) == "1." + "0" * cap
+        assert ExactProb(1, 3).decimal(cap) == "0." + "3" * cap
+        with pytest.raises(ResourceLimitError):
+            ExactProb(1, 3).decimal(cap + 1)
+
     def test_float_and_str(self):
         prob = ExactProb(3, 4)
         assert float(prob) == 0.75
         assert str(prob) == "3/4"
+
+
+def _sequential_product(values):
+    den = 1
+    for v in values:
+        den *= v
+    return den
+
+
+class TestProduct:
+    @pytest.mark.parametrize("values", [
+        [],
+        [7],
+        [2, 3, 5],           # odd length: the last factor waits a level
+        [2, 3, 5, 7],
+        [3, 1, 4, 1, 5, 9, 2],
+        [fib(2, i) for i in range(1, 301)],
+    ])
+    def test_matches_sequential_product(self, values):
+        assert _product(values) == _sequential_product(values)
+        assert _product(iter(values)) == _sequential_product(values)
+
+    @given(st.lists(st.integers(-(2**400), 2**400), max_size=70))
+    def test_big_ints(self, values):
+        assert _product(values) == _sequential_product(values)
 
 
 class TestPnPickup:

@@ -1,10 +1,28 @@
+import random
+import sys
 import threading
 
 import pytest
 from hypothesis import given, strategies as st
 
+from stickprob import sequences
 from stickprob.errors import DomainError
 from stickprob.sequences import StepFibTable, fib, fib_prefix_sum, t_value
+
+
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """Empty memo tables for this test only; the shared ones come back after."""
+    monkeypatch.setattr(sequences, "_TABLES", {})
+    monkeypatch.setattr(sequences, "_T_TABLES", {})
+
+
+def _t_reference(p, k):
+    # the recurrence rebuilt from t_1 on every call, as a reference
+    vals = [0] * (p - 1) + [1]
+    for _ in range(k - 1):
+        vals.append(1 + sum(vals[-p:]))
+    return vals[-1]
 
 
 @pytest.mark.parametrize(
@@ -122,3 +140,66 @@ def test_table_shared_across_threads():
 def test_values_exceed_machine_integers():
     assert fib(2, 200) > 2**128
     assert fib_prefix_sum(6, 200) > 2**128
+
+
+def test_tables_answer_out_of_order(fresh_tables):
+    high, low = fib_prefix_sum(3, 500), fib_prefix_sum(3, 2)
+    assert low == 2
+    assert high == sum(fib(3, i) for i in range(1, 501))
+    assert t_value(4, 900) == _t_reference(4, 900)
+    assert t_value(4, 1) == 1
+    assert [t_value(4, k) for k in (7, 3, 899, 5)] == [
+        _t_reference(4, k) for k in (7, 3, 899, 5)
+    ]
+    table = StepFibTable(5)
+    assert table.prefix_sum(300) == sum(table.fib(i) for i in range(1, 301))
+    assert [table.prefix_sum(i) for i in (4, 1, 299)] == [
+        sum(table.fib(i) for i in range(1, j + 1)) for j in (4, 1, 299)
+    ]
+
+
+def test_indices_below_range_rejected_on_warm_tables(fresh_tables):
+    fib_prefix_sum(3, 50)
+    t_value(3, 50)
+    for bad in (0, -1, -7):
+        with pytest.raises(DomainError):
+            fib_prefix_sum(3, bad)
+        with pytest.raises(DomainError):
+            t_value(3, bad)
+    with pytest.raises(DomainError):
+        fib(3, -2)
+    with pytest.raises(DomainError):
+        t_value(1, 5)
+
+
+def test_four_threads_extend_fresh_tables_alike(fresh_tables):
+    table = StepFibTable(3)
+    start = threading.Barrier(4)
+    results = [None] * 4
+
+    def worker(slot):
+        order = list(range(1, 400))
+        random.Random(slot).shuffle(order)
+        start.wait(timeout=10)
+        results[slot] = (
+            {i: table.prefix_sum(i) for i in order},
+            {i: t_value(3, i) for i in order},
+            {i: table.fib(i) for i in order},
+        )
+
+    threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r == results[0] for r in results)
+    sums, ts, fibs = results[0]
+    assert sums[399] == sum(fibs[i] for i in range(1, 400))
+    assert ts[399] == _t_reference(3, 399)
+    assert table._sums == [0] + [sums[i] for i in range(1, 400)]
