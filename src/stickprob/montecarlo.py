@@ -11,6 +11,14 @@ Floating point is deliberate here: the Monte Carlo error at any feasible
 trial count dwarfs rounding error.  Exactness lives in the closed forms
 and the symbolic oracle.
 
+The predicates do no more work than a row needs.  "No polygon" scores each
+window only on the rows still alive (surviving rows must grow like p-step
+Fibonacci numbers, so most die within a few windows), and the random
+subset is drawn by resolving the partial Fisher-Yates picks as column
+indices, without building shuffled index rows.  Each row's arithmetic is
+the same window sum and comparison as a plain per-row loop, so success
+counts are bit-identical to scoring every row on every window.
+
 Tie rule, fixed for reproducibility: a degenerate flat polygon does not
 count as formed.  "Cannot form" tests use window sums <= the next length;
 "forms" is the strict complement.  Ties have measure zero under every
@@ -20,6 +28,7 @@ supported distribution.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -164,10 +173,26 @@ def _as_sorted_array(lengths) -> np.ndarray:
 
 
 def _no_polygon_rows(lengths: np.ndarray, p: int) -> np.ndarray:
-    n = lengths.shape[1]
-    ok = np.ones(lengths.shape[0], dtype=bool)
+    # Most rows fail within a few windows, so each window is scored only on
+    # the rows still alive.  Once at most half of the held rows are alive
+    # they are copied out, with only the columns later windows read; a row's
+    # window sum is a reduction over its own p values alone, so its bits do
+    # not depend on which other rows are held.
+    m, n = lengths.shape
+    rows, held, start = lengths, np.arange(m), 0  # rows[:, c] is column start + c
+    keep = np.ones(m, dtype=bool)
     for i in range(n - p):
-        ok &= lengths[:, i : i + p].sum(axis=1) <= lengths[:, i + p]
+        c = i - start
+        keep &= rows[:, c : c + p].sum(axis=1) <= rows[:, c + p]
+        alive = np.count_nonzero(keep)
+        if not alive:
+            break
+        if 2 * alive <= keep.size:
+            live = np.flatnonzero(keep)
+            rows, held, start = rows[live, c + 1 :], held[live], i + 1
+            keep = np.ones(alive, dtype=bool)
+    ok = np.zeros(m, dtype=bool)
+    ok[held[keep]] = True
     return ok
 
 
@@ -204,18 +229,29 @@ def all_polygon(sorted_lengths, p: int) -> bool:
 
 
 def _subset_rows(lengths: np.ndarray, p: int, u: np.ndarray) -> np.ndarray:
+    # Partial Fisher-Yates over the column indices, resolved column by column
+    # without building the shuffled index rows.  Step s swaps positions s and
+    # pos[s]; before it, position q >= s holds q unless an earlier step t
+    # drew pos[t] == q, and then holds what position t held when step t ran.
     m, n = lengths.shape
-    idx = np.tile(np.arange(n), (m, 1))
-    rows = np.arange(m)
+    pos, held, picks = [], [], []
     for s in range(p + 1):
-        # partial Fisher-Yates; the min() guards the one-ulp rounding case
-        j = np.minimum((u[:, s] * (n - s)).astype(np.int64), n - s - 1)
-        pos = s + j
-        picked = idx[rows, pos].copy()
-        idx[rows, pos] = idx[rows, s]
-        idx[rows, s] = picked
-    subset = np.take_along_axis(lengths, idx[:, : p + 1], axis=1)
-    subset.sort(axis=1)
+        # the min() guards the one-ulp rounding case
+        drawn = s + np.minimum((u[:, s] * (n - s)).astype(np.int64), n - s - 1)
+        pick, at_s = drawn, s
+        for t in range(s):
+            pick = np.where(pos[t] == drawn, held[t], pick)
+            at_s = np.where(pos[t] == s, held[t], at_s)
+        pos.append(drawn)
+        held.append(at_s)
+        picks.append(pick)
+    # rows are sorted, so an insertion network on the picked indices puts
+    # the picked values in nondecreasing order as well
+    for i in range(1, p + 1):
+        for k in range(i, 0, -1):
+            lo, hi = picks[k - 1], picks[k]
+            picks[k - 1], picks[k] = np.minimum(lo, hi), np.maximum(lo, hi)
+    subset = np.take_along_axis(lengths, np.stack(picks, axis=1), axis=1)
     return subset[:, :p].sum(axis=1) > subset[:, -1]
 
 
@@ -274,7 +310,7 @@ def estimate(
     blocks [t*c, (t+1)*c) for a constant c, so the result for a given
     (seed, trials) pair does not depend on ``workers`` or on chunk
     boundaries.  Worker parallelism is a plain reduction over integer
-    success counts.
+    success counts, on at most one thread per chunk and per usable CPU.
     """
     if n < 1:
         raise DomainError(f"stick count n must be >= 1, got {n}")
@@ -298,7 +334,14 @@ def estimate(
     def run(span: tuple[int, int]) -> int:
         return _run_chunk(event, dist, n, seed, blocks_per_trial, span)
 
-    if workers == 1 or len(spans) == 1:
+    # No more threads than chunks or than CPUs this process may run on; the
+    # affinity is read per call because a process can change its own.
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(workers, len(spans), cpus)
+    if workers == 1:
         successes = sum(map(run, spans))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:

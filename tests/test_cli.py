@@ -130,13 +130,16 @@ class TestSimulate:
         assert payload["mc"]["z_vs_exact"] is None
 
     def test_deterministic_for_fixed_seed(self, runner):
+        # three chunks, so that more than one worker can take part
         args = [
             "simulate", "--event", "pr", "--model", "broken",
-            "--p", "2", "--n", "5", "--trials", "30000", "--seed", "9",
+            "--p", "2", "--n", "5", "--trials", "140000", "--seed", "9",
         ]
-        out1 = invoke(runner, *args).output
-        out2 = invoke(runner, *args, "--workers", "4").output
-        assert json.loads(out1)["mc"]["successes"] == json.loads(out2)["mc"]["successes"]
+        counts = {
+            json.loads(invoke(runner, *args, "--workers", w).output)["mc"]["successes"]
+            for w in ("1", "4", "100000")
+        }
+        assert len(counts) == 1
 
     def test_workers_env_override(self, runner):
         res = invoke(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from stickprob import montecarlo
 from stickprob.closedform import pn_pickup
 from stickprob.errors import DomainError
 from stickprob.montecarlo import (
@@ -16,6 +17,7 @@ from stickprob.montecarlo import (
     random_subset_polygon,
     sample_lengths,
 )
+from stickprob.montecarlo import _all_polygon_rows, _no_polygon_rows, _subset_rows
 
 
 class ScriptedStream:
@@ -236,3 +238,185 @@ class TestEstimate:
             EventSpec(NO_POLYGON, 2), DistributionSpec.broken_stick(), 1, 100, 5
         )
         assert est.p_hat == 1.0
+
+
+# Plain per-row loops: the definitions the vectorized kernels must match bit
+# for bit.  Python's sum() adds left to right, as numpy does over fewer than
+# eight values, so the references hold for the p used here.
+
+
+def reference_no_polygon(rows, p):
+    return [
+        all(sum(row[i : i + p]) <= row[i + p] for i in range(len(row) - p))
+        for row in rows.tolist()
+    ]
+
+
+def reference_subset(rows, p, u):
+    out = []
+    for row, draws in zip(rows.tolist(), u.tolist()):
+        n = len(row)
+        idx = list(range(n))
+        for s in range(p + 1):
+            j = min(int(draws[s] * (n - s)), n - s - 1)
+            idx[s], idx[s + j] = idx[s + j], idx[s]
+        subset = sorted(row[k] for k in idx[: p + 1])
+        out.append(sum(subset[:p]) > subset[p])
+    return out
+
+
+# dyadic values add exactly, so equal sums (the tie case) come up often
+_VALUES = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0]),
+    st.floats(0.0, 10.0),
+)
+
+
+@st.composite
+def step_rows(draw, p, n):
+    """Sorted rows that grow like p-step Fibonacci numbers, so that rows die
+    at every window, survive to the end, or sit exactly on the boundary."""
+    k = min(p, n)
+    heads = st.lists(_VALUES, min_size=k, max_size=k)
+    nudges = st.lists(
+        st.sampled_from([0.0, 0.0, 0.5, -0.25, 1e-9, -1e-9]), min_size=n - k, max_size=n - k
+    )
+    rows = []
+    for _ in range(draw(st.integers(1, 30))):
+        row = sorted(draw(heads))
+        for nudge in draw(nudges):
+            row.append(max(row[-1], sum(row[-p:]) + nudge))
+        rows.append(row)
+    return np.array(rows, dtype=np.float64).reshape(len(rows), n)
+
+
+@given(st.data(), st.integers(2, 6), st.integers(0, 12))
+def test_no_polygon_kernel_matches_reference(data, p, extra):
+    n = data.draw(st.integers(1, p)) if extra == 0 else p + extra
+    rows = data.draw(step_rows(p, n))
+    assert _no_polygon_rows(rows, p).tolist() == reference_no_polygon(rows, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 6])
+def test_no_polygon_kernel_when_all_die_or_none_die(p):
+    n = p + 10
+    dying = np.ones((3000, n))  # p ones sum past the next one at window 0
+    assert not _no_polygon_rows(dying, p).any()
+    fib = [1.0] * p
+    while len(fib) < n:
+        fib.append(sum(fib[-p:]))  # every window is a tie
+    surviving = np.outer(np.arange(1.0, 3001.0), fib)
+    assert _no_polygon_rows(surviving, p).all()
+    # row r dies at window r % (n - p + 1), or never when that is n - p
+    staggered = surviving.copy()
+    for r, w in enumerate(np.arange(3000) % (n - p + 1)):
+        if w < n - p:
+            staggered[r, w + p] = staggered[r, w + p - 1]
+    got = _no_polygon_rows(staggered, p)
+    assert got.tolist() == reference_no_polygon(staggered, p)
+    assert np.count_nonzero(got) == len(range(n - p, 3000, n - p + 1))
+
+
+@given(st.data(), st.integers(2, 6), st.integers(1, 9))
+def test_subset_kernel_matches_reference(data, p, n_extra):
+    n = p + n_extra if n_extra > 1 else p + 1
+    m = data.draw(st.integers(1, 12))
+    cells = st.lists(_VALUES, min_size=m * n, max_size=m * n)
+    rows = np.sort(np.array(data.draw(cells)).reshape(m, n), axis=1)
+    draws = st.one_of(
+        st.sampled_from([0.0, 0.5, 1.0 - 2.0**-53]), st.floats(0.0, 1.0, exclude_max=True)
+    )
+    u = np.array(
+        data.draw(st.lists(draws, min_size=m * (p + 1), max_size=m * (p + 1)))
+    ).reshape(m, p + 1)
+    assert _subset_rows(rows, p, u).tolist() == reference_subset(rows, p, u)
+
+
+def test_subset_kernel_at_the_largest_uniform():
+    # u = 1 - 2**-53, the largest draw, takes the last free position at every
+    # step: the longest length, then the p shortest, which is the PA test
+    top = 1.0 - 2.0**-53
+    rng = np.random.default_rng(3)
+    for n in (6, 13, 40):
+        rows = np.sort(rng.random((50, n)), axis=1)
+        u = np.full((50, 6), top)
+        got = _subset_rows(rows, 5, u).tolist()
+        assert got == reference_subset(rows, 5, u) == _all_polygon_rows(rows, 5).tolist()
+
+
+def test_subset_kernel_sums_the_picked_values_in_sorted_order():
+    # the draws pick indices 3, 2, 1, 0, 4; summed in that order the four
+    # shortest give exactly 2.0 and tie the longest, summed sorted they give
+    # 2 + 2**-51 and the subset forms
+    rows = np.array([[2.0**-53, 2.0**-53, 1.0, 1.0 + 2.0**-52, 2.0]])
+    u = np.array([[0.7, 0.3, 0.1, 0.1, 0.0]])
+    assert _subset_rows(rows, 4, u).tolist() == reference_subset(rows, 4, u) == [True]
+
+
+class _InlineExecutor:
+    """Stands in for ThreadPoolExecutor: records max_workers, starts no thread."""
+
+    def __init__(self, seen, max_workers):
+        seen.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestWorkerBound:
+    EVENT = EventSpec(NO_POLYGON, 2)
+    DIST = DistributionSpec.uniform01()
+    TRIALS = 4 * 65_536 + 1  # five chunks
+
+    def run(self, monkeypatch, workers, cpus=None):
+        seen = []
+        monkeypatch.setattr(
+            montecarlo, "ThreadPoolExecutor", lambda max_workers: _InlineExecutor(seen, max_workers)
+        )
+        if cpus is None:
+            monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        est = estimate(self.EVENT, self.DIST, 3, self.TRIALS, 17, workers=workers)
+        return seen, est.successes
+
+    @pytest.mark.parametrize(
+        "workers, cpus, expected",
+        [(100_000, 3, [3]), (100_000, 64, [5]), (4, 64, [4]), (1, 64, []), (8, 1, [])],
+    )
+    def test_threads_bounded_by_chunks_and_affinity(self, monkeypatch, workers, cpus, expected):
+        seen, successes = self.run(monkeypatch, workers, cpus)
+        assert seen == expected
+        assert successes == estimate(self.EVENT, self.DIST, 3, self.TRIALS, 17).successes
+
+    def test_cpu_count_when_affinity_unavailable(self, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        assert self.run(monkeypatch, 100_000)[0] == [2]
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
+        assert self.run(monkeypatch, 100_000)[0] == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_estimate_runs_each_chunk_through_the_module_hook(monkeypatch, workers):
+    # perfbench counts chunks by rebinding montecarlo._run_chunk the same way
+    inner = montecarlo._run_chunk
+    calls = []
+
+    def logged(*args, **kwargs):
+        assert not kwargs
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(montecarlo, "_run_chunk", logged)
+    event, dist = EventSpec(RANDOM_SUBSET_POLYGON, 3), DistributionSpec.broken_stick()
+    est = estimate(event, dist, 7, 2 * 65_536 + 5, 11, workers=workers)
+    # 6 cuts + 4 picks = 10 words per trial, in 3 Philox blocks of 4
+    spans = [(0, 65_536), (65_536, 131_072), (131_072, 131_077)]
+    assert sorted(calls, key=lambda c: c[-1]) == [(event, dist, 7, 11, 3, s) for s in spans]
+    assert est.successes == sum(inner(*c) for c in calls)
