@@ -319,7 +319,7 @@ def test_no_polygon_kernel_when_all_die_or_none_die(p):
 
 @given(st.data(), st.integers(2, 6), st.integers(1, 9))
 def test_subset_kernel_matches_reference(data, p, n_extra):
-    n = p + n_extra if n_extra > 1 else p + 1
+    n = p + n_extra
     m = data.draw(st.integers(1, 12))
     cells = st.lists(_VALUES, min_size=m * n, max_size=m * n)
     rows = np.sort(np.array(data.draw(cells)).reshape(m, n), axis=1)
