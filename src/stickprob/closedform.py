@@ -22,7 +22,7 @@ from math import factorial, gcd
 from typing import Callable, Iterable, Union
 
 from .constraints import m_constants, s_constants
-from .errors import DomainError, ResourceLimitError, UnsupportedFormulaError
+from .errors import DomainError, ResourceLimitError, UnsupportedFormulaError, require_p
 from .sequences import fib, fib_prefix_sum, t_value
 
 __all__ = [
@@ -94,11 +94,6 @@ class ExactProb:
         return f"{self.numerator}/{self.denominator}"
 
 
-def _require_p(p: int) -> None:
-    if p < 2:
-        raise DomainError(f"polygon parameter p must be >= 2, got {p}")
-
-
 def _require_n(n: int) -> None:
     if n < 1:
         raise DomainError(f"stick count n must be >= 1, got {n}")
@@ -147,7 +142,7 @@ def pn_pickup(p: int, n: int) -> ExactProb:
     Evaluated as the product of reciprocal bound denominators; a direct
     step-Fibonacci product acts as a second route.
     """
-    _require_p(p)
+    require_p(p)
     _require_n(n)
     if is_vacuous(p, n):
         return ExactProb(1, 1)
@@ -162,7 +157,7 @@ def pn_pickup_truncated(p: int, n: int, a: RationalLike) -> ExactProb:
     The [0, 1] probability is rescaled by (1 - m_1 a)^n / (1 - a)^n; once a
     reaches the cap 1/m_1 on the shortest stick the event is impossible.
     """
-    _require_p(p)
+    require_p(p)
     _require_n(n)
     a = Fraction(a)
     if not 0 <= a < 1:
@@ -187,7 +182,7 @@ def pn_broken(p: int, n: int) -> ExactProb:
     n! times the product of reciprocal broken-stick denominators; the
     prefix-sum product form acts as a second route.
     """
-    _require_p(p)
+    require_p(p)
     _require_n(n)
     if is_vacuous(p, n):
         return ExactProb(1, 1)
@@ -203,7 +198,7 @@ def pn_exponential(p: int, n: int) -> ExactProb:
     variable scale cancel), and the value coincides exactly with the
     broken-stick probability.
     """
-    _require_p(p)
+    require_p(p)
     _require_n(n)
     if is_vacuous(p, n):
         return ExactProb(1, 1)
@@ -218,7 +213,7 @@ def pa_pickup(p: int, n: int) -> ExactProb:
     (2 * ((2/3)^(n-3) - (1/2)^(n-2))) only; larger polygons have no known
     closed form and must go through the Monte Carlo estimator.
     """
-    _require_p(p)
+    require_p(p)
     _require_n(n)
     if p not in (2, 3):
         raise UnsupportedFormulaError(
@@ -239,7 +234,7 @@ def pr_pickup(p: int) -> ExactProb:
     Conditioning on the chosen subset reduces the event to the n = p + 1
     case, whose PN is 1/p!.
     """
-    _require_p(p)
+    require_p(p)
     return ExactProb.from_fraction(1 - Fraction(1, factorial(p)))
 
 

@@ -16,13 +16,16 @@ reciprocal denominators are exactly the closed-form probabilities.
 Three derivations of the same denominators live here on purpose:
 
 * closed forms over step-Fibonacci numbers (``m_constants``,
-  ``s_constants``) -- the production route;
-* accumulation of the window recurrence in coefficient vectors
-  (``e_vector``, ``max_length_form``), which also yields the numerator
-  forms;
+  ``s_constants``, one tail-corrected loop) -- the production route;
+* one chain of coefficient vectors e_k that unrolls the window recurrence
+  (``e_vector``, ``max_length_form``): pick-up sticks read e_{n-i+1},
+  broken sticks its running sum, and both read the numerator forms off
+  the same vector;
 * the inverse-Jacobian row recurrence (``m_constants_via_jacobian``).
 
-Their exact agreement is a core check of the verification suite.
+Their exact agreement is a core check of the verification suite.  Models
+are named as in ``montecarlo.MODELS``; only "pickup" and "broken" have a
+constraint system.
 """
 
 from __future__ import annotations
@@ -33,12 +36,11 @@ from functools import lru_cache
 from random import Random
 from typing import Sequence, Union
 
-from .errors import DomainError, InfeasiblePrefixError
+from .errors import DomainError, InfeasiblePrefixError, require_p
+from .montecarlo import MODELS
 from .sequences import fib, fib_prefix_sum
 
 __all__ = [
-    "PICKUP",
-    "BROKEN",
     "LinearForm",
     "ConstraintSystem",
     "min_length_form",
@@ -53,9 +55,8 @@ __all__ = [
     "sample_feasible_prefix",
 ]
 
-PICKUP = "pickup"
-BROKEN = "broken"
-_MODELS = (PICKUP, BROKEN)
+# the sampling models with a constraint system: pickup and broken
+_MODELS = (MODELS[0], MODELS[-1])
 
 Rational = Union[Fraction, int]
 
@@ -66,8 +67,7 @@ def _check_model(model: str) -> None:
 
 
 def _check_system(p: int, n: int) -> None:
-    if p < 2:
-        raise DomainError(f"polygon parameter p must be >= 2, got {p}")
+    require_p(p)
     if n < p + 1:
         raise DomainError(
             f"constraint systems need n >= p + 1 = {p + 1} sticks, got {n}"
@@ -123,8 +123,7 @@ class LinearForm:
 
 def min_length_form(p: int, i: int) -> LinearForm:
     """Lower bound for stick i: zero, the previous stick, or the window sum."""
-    if p < 2:
-        raise DomainError(f"polygon parameter p must be >= 2, got {p}")
+    require_p(p)
     if i < 1:
         raise DomainError(f"stick index must be >= 1, got {i}")
     coeffs = [0] * (i - 1)
@@ -137,60 +136,50 @@ def min_length_form(p: int, i: int) -> LinearForm:
 
 
 @lru_cache(maxsize=None)
-def e_vector(p: int, k: int) -> tuple[int, ...]:
-    """Coefficient vector e_k over a window of p consecutive lengths.
+def _chain(p: int, width: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(e_k, e_1 + ... + e_k): the chain of coefficient vectors over a
+    window of ``width`` <= p consecutive lengths, and its running sum.
 
-    e_1, e_0, ..., e_{2-p} are the unit vectors (1 in slot 2-k) and every
-    e_k with k >= 2 is the sum of the p vectors before it, mirroring the
-    recurrence of the lengths themselves.  The leading entry of e_k is the
-    k-th p-step Fibonacci number.
+    e_1, e_0, ..., e_{2-width} are the unit vectors (e_k has its 1 at
+    position 1-k, counting from 0).  A
+    window cut short (width < p, the sticks before the p-th) repeats
+    (1, 0, ..., 0) for e_2 .. e_{p+1-width}, because the sticks in between
+    are bound by ordering only.  Every later e_k is the sum of the p vectors
+    before it, mirroring the recurrence of the lengths themselves.  Built
+    by a loop from the start, so no index is too deep to reach.
     """
-    if p < 2:
-        raise DomainError(f"polygon parameter p must be >= 2, got {p}")
+    low = 2 - width
+    chain = [[int(s == 1 - j) for s in range(width)] for j in range(low, 2)]
+    chain += [chain[-1]] * (p - width)
+    while len(chain) <= k - low:
+        chain.append(list(map(sum, zip(*chain[-p:]))))
+    summed = chain[1 - low : k - low + 1]  # e_1 .. e_k
+    return tuple(chain[k - low]), tuple(sum(e[s] for e in summed) for s in range(width))
+
+
+def e_vector(p: int, k: int) -> tuple[int, ...]:
+    """Coefficient vector e_k over a window of p consecutive lengths,
+    defined for k >= 2 - p.  Its leading entry is the k-th p-step
+    Fibonacci number."""
+    require_p(p)
     if k < 2 - p:
         raise DomainError(f"e-vectors are defined for k >= {2 - p}, got {k}")
-    if k <= 1:
-        unit = [0] * p
-        unit[1 - k] = 1
-        return tuple(unit)
-    block = [e_vector(p, m) for m in range(k - p, k)]
-    return tuple(sum(col) for col in zip(*block))
-
-
-@lru_cache(maxsize=None)
-def _short_e_vector(p: int, i: int, k: int) -> tuple[int, ...]:
-    """e-vector variant for a stick i < p, whose window is cut short.
-
-    Sticks between i+1 and p are only bound by ordering, so the chain
-    repeats (1, 0, ..., 0) until the full p-term recurrence can start.
-    """
-    if not 1 <= i < p:
-        raise DomainError(f"short vectors need 1 <= i < p, got i={i}, p={p}")
-    if k < 2 - i:
-        raise DomainError(f"short e-vectors are defined for k >= {2 - i}")
-    if k <= 1:
-        unit = [0] * i
-        unit[1 - k] = 1
-        return tuple(unit)
-    if k <= p + 1 - i:
-        return (1,) + (0,) * (i - 1)
-    block = [_short_e_vector(p, i, m) for m in range(k - p, k)]
-    return tuple(sum(col) for col in zip(*block))
+    return _chain(p, p, k)[0]
 
 
 def max_length_form(
-    p: int, n: int, i: int, model: str = PICKUP
+    p: int, n: int, i: int, model: str = "pickup"
 ) -> tuple[int, LinearForm]:
     """Upper bound data for stick i, as (denominator, numerator form), so
     that l_i_max = (1 - form(l_1, ..., l_{i-1})) / denominator.
 
     Pick-up sticks: chaining the window inequalities from stick i up to
-    stick n and capping l_n at 1 leaves the single vector e_{n-i+1} (cut
-    short when i < p); its leading entry is the denominator and its tail
-    gives the coefficients on the previous sticks.  Broken stick: the cap
-    is the unit total length instead, so the chain vectors for sticks
-    i..n accumulate and every earlier stick picks up one extra unit
-    coefficient from the total.
+    stick n and capping l_n at 1 leaves the single vector e_{n-i+1} over a
+    window of min(i, p) sticks; its leading entry is the denominator and
+    its tail gives the coefficients on the previous sticks.  Broken stick:
+    the cap is the unit total length instead, so the chain vectors for
+    sticks i..n add up (the running sum) and every earlier stick picks up
+    one extra unit coefficient from the total.
 
     Stick n itself needs no form (its cap is the constant 1) and is
     rejected here.
@@ -199,43 +188,32 @@ def max_length_form(
     _check_system(p, n)
     if not 1 <= i <= n - 1:
         raise DomainError(f"max forms cover sticks 1..{n - 1}, got {i}")
-    if i >= p:
-        width = p
+    width = min(i, p)
+    e_k, running = _chain(p, width, n - i + 1)
+    acc = e_k if model == "pickup" else running
+    coeffs = (0,) * (i - width) + acc[:0:-1]  # acc[t] multiplies l_{i-t}
+    if model == "broken":
+        coeffs = tuple(c + 1 for c in coeffs)
+    return acc[0], LinearForm(i - 1, coeffs)
 
-        def vec(m: int) -> tuple[int, ...]:
-            return e_vector(p, m)
 
-    else:
-        width = i
-
-        def vec(m: int) -> tuple[int, ...]:
-            return _short_e_vector(p, i, m)
-
-    if model == PICKUP:
-        acc = list(vec(n - i + 1))
-    else:
-        acc = [0] * width
-        for m in range(1, n - i + 2):
-            acc = [a + b for a, b in zip(acc, vec(m))]
-    coeffs = [0] * (i - 1)
-    for t in range(1, width):
-        coeffs[i - t - 1] = acc[t]
-    if model == BROKEN:
-        coeffs = [c + 1 for c in coeffs]
-    return acc[0], LinearForm(i - 1, tuple(coeffs))
+def _tail_corrected(term, p: int, n: int, count: int) -> tuple[int, ...]:
+    """term(p, n-i+1) for i = 1..count, minus the weighted tail
+    sum_j j * term(p, n-i-j) for the first p-2 sticks."""
+    out = []
+    for i in range(1, count + 1):
+        v = term(p, n - i + 1)
+        if i <= p - 2:
+            v -= sum(j * term(p, n - i - j) for j in range(1, p - i))
+        out.append(v)
+    return tuple(out)
 
 
 def m_constants(p: int, n: int) -> tuple[int, ...]:
     """Pick-up sticks denominators m_1..m_n via the step-Fibonacci closed
     form: m_i = F_{n-i+1} minus a weighted tail for the first p-2 sticks."""
     _check_system(p, n)
-    out = []
-    for i in range(1, n + 1):
-        v = fib(p, n - i + 1)
-        if i <= p - 2:
-            v -= sum(j * fib(p, n - i - j) for j in range(1, p - i))
-        out.append(v)
-    return tuple(out)
+    return _tail_corrected(fib, p, n, n)
 
 
 def s_constants(p: int, n: int) -> tuple[int, ...]:
@@ -245,13 +223,7 @@ def s_constants(p: int, n: int) -> tuple[int, ...]:
     replaced by its prefix sum.
     """
     _check_system(p, n)
-    out = []
-    for i in range(1, n):
-        v = fib_prefix_sum(p, n - i + 1)
-        if i <= p - 2:
-            v -= sum(k * fib_prefix_sum(p, n - i - k) for k in range(1, p - i))
-        out.append(v)
-    return tuple(out)
+    return _tail_corrected(fib_prefix_sum, p, n, n - 1)
 
 
 def m_constants_via_jacobian(p: int, n: int) -> tuple[int, ...]:
@@ -303,10 +275,10 @@ class ConstraintSystem:
 
 
 @lru_cache(maxsize=None)
-def constraint_system(p: int, n: int, model: str = PICKUP) -> ConstraintSystem:
+def constraint_system(p: int, n: int, model: str = "pickup") -> ConstraintSystem:
     _check_model(model)
     _check_system(p, n)
-    if model == PICKUP:
+    if model == "pickup":
         denominators = m_constants(p, n)
     else:
         denominators = s_constants(p, n) + (1,)
@@ -351,7 +323,7 @@ def check_max_min_identity(
     p: int,
     n: int,
     lengths_prefix: Sequence[Rational],
-    model: str = PICKUP,
+    model: str = "pickup",
 ) -> bool:
     """Exact check of the telescoping identity linking consecutive bound
     intervals at i = len(prefix) + 1:
@@ -368,7 +340,7 @@ def check_max_min_identity(
     system = constraint_system(p, n, model)
     vals = validate_prefix(system, lengths_prefix)
     i = len(vals) + 1
-    top = n if model == PICKUP else n - 1
+    top = n if model == "pickup" else n - 1
     if not 2 <= i <= top:
         raise DomainError(
             f"identity covers prefixes of 1..{top - 1} lengths, got {len(vals)}"
@@ -385,7 +357,7 @@ def sample_feasible_prefix(
     n: int,
     k: int,
     rng: Random,
-    model: str = PICKUP,
+    model: str = "pickup",
     max_denominator: int = 64,
 ) -> tuple[Fraction, ...]:
     """Draw l_1..l_k inside the constraint region, each uniform on a

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one domain rule
+every module enforces."""
 
 
 class SticksError(Exception):
@@ -19,3 +20,10 @@ class UnsupportedFormulaError(SticksError):
 
 class ResourceLimitError(SticksError):
     """A computation was refused because it would exceed its size guard."""
+
+
+def require_p(p: int) -> None:
+    """Reject p < 2: a polygon has at least p + 1 = 3 sides, and the p-step
+    Fibonacci recurrence needs at least two terms."""
+    if p < 2:
+        raise DomainError(f"polygon parameter p must be >= 2, got {p}")

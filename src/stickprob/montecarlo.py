@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_p
 
 __all__ = [
     "MODELS",
@@ -113,8 +113,7 @@ class EventSpec:
     def __post_init__(self) -> None:
         if self.kind not in EVENTS.values():
             raise DomainError(f"unknown event kind {self.kind!r}")
-        if self.p < 2:
-            raise DomainError(f"polygon parameter p must be >= 2, got {self.p}")
+        require_p(self.p)
 
     def uniforms_per_trial(self) -> int:
         # subset selection burns one word per pick
@@ -207,8 +206,7 @@ def no_polygon(sorted_lengths, p: int) -> bool:
     """True iff no p+1 of the lengths can form a (p+1)-gon, i.e. every
     window of p consecutive lengths sums to at most the next length.
     Vacuously true for fewer than p+1 lengths."""
-    if p < 2:
-        raise DomainError(f"polygon parameter p must be >= 2, got {p}")
+    require_p(p)
     arr = _as_sorted_array(sorted_lengths)
     return bool(_no_polygon_rows(arr.reshape(1, -1), p)[0])
 
@@ -222,8 +220,7 @@ def all_polygon(sorted_lengths, p: int) -> bool:
     one exists, is the p shortest plus the longest.  Vacuously true for
     fewer than p+1 lengths.
     """
-    if p < 2:
-        raise DomainError(f"polygon parameter p must be >= 2, got {p}")
+    require_p(p)
     arr = _as_sorted_array(sorted_lengths)
     return bool(_all_polygon_rows(arr.reshape(1, -1), p)[0])
 
@@ -257,8 +254,7 @@ def _subset_rows(lengths: np.ndarray, p: int, u: np.ndarray) -> np.ndarray:
 
 def random_subset_polygon(sorted_lengths, p: int, stream) -> bool:
     """Draw one uniform subset of p+1 lengths; True iff that subset forms."""
-    if p < 2:
-        raise DomainError(f"polygon parameter p must be >= 2, got {p}")
+    require_p(p)
     arr = _as_sorted_array(sorted_lengths)
     n = arr.shape[0]
     if n < p + 1:

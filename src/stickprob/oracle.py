@@ -22,7 +22,7 @@ from typing import Iterator, Mapping, Union
 
 from .closedform import ExactProb
 from .constraints import max_length_form, min_length_form
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, require_p
 
 __all__ = [
     "DEFAULT_SIZE_GUARD",
@@ -165,8 +165,7 @@ class MultiPoly:
 
 
 def _check_chain_args(p: int, n: int, size_guard: int) -> None:
-    if p < 2:
-        raise DomainError(f"polygon parameter p must be >= 2, got {p}")
+    require_p(p)
     if n < p + 1:
         raise DomainError(
             f"symbolic integration needs n >= p + 1 = {p + 1}, got {n}"
@@ -293,8 +292,7 @@ def r_vector(p: int, l: int) -> tuple[int, ...]:
     small at desk scale so repeated application beats exponentiation on
     clarity.
     """
-    if p < 2:
-        raise DomainError(f"polygon parameter p must be >= 2, got {p}")
+    require_p(p)
     if l < 1:
         raise DomainError(f"the recurrence is defined for l >= 1, got {l}")
     state = [1] * p

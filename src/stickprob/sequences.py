@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 
-from .errors import DomainError
+from .errors import DomainError, require_p
 
 __all__ = ["StepFibTable", "fib", "fib_prefix_sum", "t_value"]
 
@@ -29,8 +29,7 @@ class StepFibTable:
     """
 
     def __init__(self, p: int) -> None:
-        if p < 2:
-            raise DomainError(f"step count p must be >= 2, got {p}")
+        require_p(p)
         self.p = p
         self.low = 2 - p
         self._vals = [0] * (p - 1) + [1]  # F_{2-p} .. F_1
@@ -97,8 +96,7 @@ def t_value(p: int, k: int) -> int:
     never reading those tables, so the two routes can be checked against
     each other.
     """
-    if p < 2:
-        raise DomainError(f"step count p must be >= 2, got {p}")
+    require_p(p)
     if k < 1:
         raise DomainError(f"t_k is generated for k >= 1 only, got {k}")
     pos = k + p - 2

@@ -141,7 +141,7 @@ def check_s_matches_vector_route() -> CheckResult:
         for n in range(p + 1, 31):
             closed = s_constants(p, n)
             vec = tuple(
-                max_length_form(p, n, i, constraints.BROKEN)[0]
+                max_length_form(p, n, i, "broken")[0]
                 for i in range(1, n)
             )
             if closed != vec:

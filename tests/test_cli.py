@@ -1,11 +1,18 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from stickprob.cli import cli
+from stickprob.constraints import m_constants
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture()
@@ -219,6 +226,24 @@ class TestConstants:
     def test_emax_rejects_last_stick(self, runner):
         res = runner.invoke(cli, ["constants", "emax", "--p", "2", "--n", "5", "--i", "5"])
         assert res.exit_code == 2
+
+    def test_emax_rejects_model_without_constraint_system(self, runner):
+        res = runner.invoke(cli, ["constants", "emax", "--p", "2", "--n", "5", "--i", "3",
+                                  "--model", "truncated"])
+        assert res.exit_code == 2
+
+    @pytest.mark.parametrize(("p", "i"), [(2, 1), (3, 5)])
+    def test_emax_long_chain(self, p, i):
+        """A chain of 1500 e-vectors, in a fresh process with cold caches."""
+        n = 1500
+        argv = ["constants", "emax", "--p", str(p), "--n", str(n), "--i", str(i)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "stickprob.cli", *argv], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert json.loads(proc.stdout)["result"]["denominator"] == m_constants(p, n)[i - 1]
 
 
 class TestVerify:

@@ -107,8 +107,11 @@ class TestPnPickup:
         assert is_vacuous(5, 5) and not is_vacuous(5, 6)
 
     def test_rejects_bad_arguments(self):
+        for evaluate in (pn_pickup, pn_broken, pn_exponential, pa_pickup):
+            with pytest.raises(DomainError):
+                evaluate(1, 4)
         with pytest.raises(DomainError):
-            pn_pickup(1, 4)
+            pn_pickup_truncated(1, 4, Fraction(1, 4))
         with pytest.raises(DomainError):
             pn_pickup(2, 0)
 

@@ -1,11 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 
 from stickprob.constraints import (
-    BROKEN,
-    PICKUP,
     LinearForm,
     check_max_min_identity,
     constraint_system,
@@ -20,6 +22,24 @@ from stickprob.constraints import (
 )
 from stickprob.errors import DomainError, InfeasiblePrefixError
 from stickprob.sequences import fib, fib_prefix_sum
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("p", [1, 0, -3])
+@pytest.mark.parametrize("call", [
+    lambda p: e_vector(p, 1),
+    lambda p: min_length_form(p, 2),
+    lambda p: max_length_form(p, 5, 1),
+    lambda p: max_length_form(p, 5, 1, "broken"),
+    lambda p: m_constants(p, 5),
+    lambda p: s_constants(p, 5),
+    lambda p: m_constants_via_jacobian(p, 5),
+    lambda p: constraint_system(p, 5),
+])
+def test_rejects_p_below_two(call, p):
+    with pytest.raises(DomainError, match="p must be >= 2"):
+        call(p)
 
 
 class TestLinearForm:
@@ -83,6 +103,19 @@ class TestEVector:
             for k in range(1, 31):
                 assert e_vector(p, k)[0] == fib(p, k)
 
+    def test_long_chain_in_cold_process(self):
+        code = (
+            "from stickprob.constraints import e_vector\n"
+            "from stickprob.sequences import fib\n"
+            "print(e_vector(2, 3000)[0] == fib(2, 3000))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True"
+
 
 class TestMaxLengthForm:
     def test_fibonacci_shape(self):
@@ -117,7 +150,7 @@ class TestMaxLengthForm:
                 assert not any(form.coeffs[:-1])
 
     def test_broken_small_case(self):
-        den, form = max_length_form(2, 3, 2, BROKEN)
+        den, form = max_length_form(2, 3, 2, "broken")
         assert den == 2
         assert form == LinearForm(1, (2,))
 
@@ -167,7 +200,7 @@ class TestConstants:
         for p in range(2, 6):
             for n in range(p + 1, 14):
                 assert s_constants(p, n) == tuple(
-                    max_length_form(p, n, i, BROKEN)[0] for i in range(1, n)
+                    max_length_form(p, n, i, "broken")[0] for i in range(1, n)
                 )
 
     def test_monotone_nonincreasing(self):
@@ -197,8 +230,8 @@ class TestConstraintSystem:
             validate_prefix(system, (Fraction(1, 2),))  # above the 1/3 cap
 
     def test_models_share_min_forms(self):
-        pick = constraint_system(3, 6, PICKUP)
-        broke = constraint_system(3, 6, BROKEN)
+        pick = constraint_system(3, 6, "pickup")
+        broke = constraint_system(3, 6, "broken")
         assert pick.min_forms == broke.min_forms
 
     def test_rejects_unknown_model(self):
@@ -226,8 +259,8 @@ class TestMaxMinIdentity:
         for p, n in ((2, 4), (2, 5), (3, 5)):
             for _ in range(40):
                 k = rng.randint(1, n - 2)
-                prefix = sample_feasible_prefix(p, n, k, rng, model=BROKEN)
-                assert check_max_min_identity(p, n, prefix, model=BROKEN)
+                prefix = sample_feasible_prefix(p, n, k, rng, model="broken")
+                assert check_max_min_identity(p, n, prefix, model="broken")
 
     def test_infeasible_prefix_rejected(self):
         with pytest.raises(InfeasiblePrefixError):
@@ -245,7 +278,7 @@ class TestMaxMinIdentity:
 class TestFeasibleSampling:
     def test_prefixes_validate(self):
         rng = Random(99)
-        for model in (PICKUP, BROKEN):
+        for model in ("pickup", "broken"):
             system = constraint_system(3, 7, model)
             for _ in range(50):
                 k = rng.randint(1, 6)
