@@ -40,7 +40,7 @@ import click
 from .closedform import ExactProb, closed_form, is_vacuous
 from .errors import DomainError, ResourceLimitError, UnsupportedFormulaError
 from .montecarlo import EVENTS, MODELS, DistributionSpec, EventSpec, estimate
-from .constraints import LinearForm, m_constants, max_length_form, s_constants
+from .constraints import BOUND_MODELS, LinearForm, m_constants, max_length_form, s_constants
 from .sequences import fib
 from .verify import MC_BASE_SEED, run_suite
 
@@ -337,7 +337,7 @@ def constants_s(p: int, n: int) -> None:
 @click.option("--p", "p", type=int, required=True)
 @click.option("--n", "n", type=int, required=True)
 @click.option("--i", "i", type=int, required=True)
-@click.option("--model", type=click.Choice(["pickup", "broken"]), default="pickup",
+@click.option("--model", type=click.Choice(BOUND_MODELS), default="pickup",
               show_default=True)
 def constants_emax(p: int, n: int, i: int, model: str) -> None:
     """The upper-bound data for one stick: denominator and numerator form."""

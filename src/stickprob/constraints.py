@@ -1,4 +1,4 @@
-"""Constraint systems on sorted stick lengths for the no-polygon condition.
+"""Bound intervals on sorted stick lengths for the no-polygon condition.
 
 Once the n lengths are sorted increasingly, "no p+1 of them form a
 (p+1)-gon" reduces to the window inequalities
@@ -23,9 +23,10 @@ Three derivations of the same denominators live here on purpose:
   the same vector;
 * the inverse-Jacobian row recurrence (``m_constants_via_jacobian``).
 
-Their exact agreement is a core check of the verification suite.  Models
-are named as in ``montecarlo.MODELS``; only "pickup" and "broken" have a
-constraint system.
+Their exact agreement is a core check of the verification suite.
+``bounds`` mixes the closed-form denominators with the vector-route
+numerator forms, per (p, n, model) in ``BOUND_MODELS``, and reads exact
+lengths only: a float raises rather than give an inexact bound.
 """
 
 from __future__ import annotations
@@ -37,33 +38,32 @@ from random import Random
 from typing import Sequence, Union
 
 from .errors import DomainError, InfeasiblePrefixError, require_p
-from .montecarlo import MODELS
 from .sequences import fib, fib_prefix_sum
 
 __all__ = [
+    "BOUND_MODELS",
     "LinearForm",
-    "ConstraintSystem",
     "min_length_form",
     "e_vector",
     "max_length_form",
     "m_constants",
     "m_constants_via_jacobian",
     "s_constants",
-    "constraint_system",
+    "bounds",
     "validate_prefix",
     "check_max_min_identity",
     "sample_feasible_prefix",
 ]
 
-# the sampling models with a constraint system: pickup and broken
-_MODELS = (MODELS[0], MODELS[-1])
+# the sampling models (as named in montecarlo.MODELS) with bound forms
+BOUND_MODELS = ("pickup", "broken")
 
 Rational = Union[Fraction, int]
 
 
 def _check_model(model: str) -> None:
-    if model not in _MODELS:
-        raise DomainError(f"model must be one of {_MODELS}, got {model!r}")
+    if model not in BOUND_MODELS:
+        raise DomainError(f"model must be one of {BOUND_MODELS}, got {model!r}")
 
 
 def _check_system(p: int, n: int) -> None:
@@ -97,6 +97,7 @@ class LinearForm:
         return cls(arity, (0,) * arity)
 
     def evaluate(self, lengths: Sequence[Rational]) -> Fraction:
+        """The exact value at Fraction (or int) lengths; a float raises."""
         if len(lengths) != self.arity:
             raise DomainError(
                 f"form reads {self.arity} lengths, got {len(lengths)}"
@@ -104,7 +105,9 @@ class LinearForm:
         total = self.constant
         for c, x in zip(self.coeffs, lengths):
             if c:
-                total += c * Fraction(x)
+                total += c * x
+        if not isinstance(total, Fraction):
+            raise DomainError("lengths must be Fractions or ints, not floats")
         return total
 
     def is_zero(self) -> bool:
@@ -245,76 +248,53 @@ def m_constants_via_jacobian(p: int, n: int) -> tuple[int, ...]:
     return tuple(rows[n - 1])
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
-    """All bound forms for one (p, n, model) triple, sticks indexed 1..n.
+@lru_cache(maxsize=None)
+def _bound_table(
+    p: int, n: int, model: str
+) -> tuple[tuple[LinearForm, ...], tuple[int, ...], tuple[LinearForm, ...]]:
+    """(min forms, max denominators, max numerator forms) for sticks 1..n.
 
     Denominators come from the closed forms; numerator forms come from the
     vector route.  The two routes agree exactly (verified elsewhere), so
     mixing them is safe.
     """
-
-    p: int
-    n: int
-    model: str
-    min_forms: tuple[LinearForm, ...]
-    max_denominators: tuple[int, ...]
-    max_numerator_forms: tuple[LinearForm, ...]
-
-    def bounds(self, prefix: Sequence[Rational]) -> tuple[Fraction, Fraction]:
-        """The [min, max] interval for stick len(prefix)+1 given a prefix."""
-        i = len(prefix) + 1
-        if not 1 <= i <= self.n:
-            raise DomainError(f"prefix selects stick {i}, valid range 1..{self.n}")
-        lo = self.min_forms[i - 1].evaluate(prefix)
-        hi = Fraction(
-            1 - self.max_numerator_forms[i - 1].evaluate(prefix),
-            self.max_denominators[i - 1],
-        )
-        return Fraction(lo), hi
-
-
-@lru_cache(maxsize=None)
-def constraint_system(p: int, n: int, model: str = "pickup") -> ConstraintSystem:
     _check_model(model)
     _check_system(p, n)
     if model == "pickup":
         denominators = m_constants(p, n)
     else:
         denominators = s_constants(p, n) + (1,)
-    mins = []
-    numerators = []
-    for i in range(1, n + 1):
-        mins.append(min_length_form(p, i))
-        if i <= n - 1:
-            numerators.append(max_length_form(p, n, i, model)[1])
-        else:
-            numerators.append(LinearForm.zero(n - 1))
-    if denominators[-1] != 1:
-        raise RuntimeError(f"terminal denominator is {denominators[-1]}, not 1")
-    for a, b in zip(denominators, denominators[1:]):
-        if a < b:
-            raise RuntimeError(
-                f"denominators not nonincreasing for p={p}, n={n}, {model}"
-            )
-    return ConstraintSystem(
-        p, n, model, tuple(mins), tuple(denominators), tuple(numerators)
-    )
+    mins = tuple(min_length_form(p, i) for i in range(1, n + 1))
+    numerators = tuple(max_length_form(p, n, i, model)[1] for i in range(1, n))
+    return mins, denominators, numerators + (LinearForm.zero(n - 1),)
+
+
+def bounds(
+    p: int, n: int, prefix: Sequence[Rational], model: str = "pickup"
+) -> tuple[Fraction, Fraction]:
+    """The [min, max] interval for stick len(prefix)+1 given the exact
+    lengths of the sticks before it."""
+    mins, denominators, numerators = _bound_table(p, n, model)
+    i = len(prefix) + 1
+    if not 1 <= i <= n:
+        raise DomainError(f"prefix selects stick {i}, valid range 1..{n}")
+    lo = mins[i - 1].evaluate(prefix)
+    return lo, (1 - numerators[i - 1].evaluate(prefix)) / denominators[i - 1]
 
 
 def validate_prefix(
-    system: ConstraintSystem, prefix: Sequence[Rational]
+    p: int, n: int, prefix: Sequence[Rational], model: str = "pickup"
 ) -> tuple[Fraction, ...]:
     """Check l_1..l_k each sit inside their bound interval; return Fractions."""
+    _bound_table(p, n, model)  # rejects a bad (p, n, model) for any prefix
     vals = tuple(Fraction(x) for x in prefix)
-    if len(vals) > system.n:
-        raise DomainError(f"prefix longer than n = {system.n}")
-    for j in range(1, len(vals) + 1):
-        lo, hi = system.bounds(vals[: j - 1])
-        if not lo <= vals[j - 1] <= hi:
+    if len(vals) > n:
+        raise DomainError(f"prefix longer than n = {n}")
+    for j, x in enumerate(vals):
+        lo, hi = bounds(p, n, vals[:j], model)
+        if not lo <= x <= hi:
             raise InfeasiblePrefixError(
-                f"l_{j} = {vals[j - 1]} outside [{lo}, {hi}] "
-                f"({system.model}, p={system.p}, n={system.n})"
+                f"l_{j + 1} = {x} outside [{lo}, {hi}] ({model}, p={p}, n={n})"
             )
     return vals
 
@@ -337,18 +317,18 @@ def check_max_min_identity(
     and up to n-1 in the broken model (the last broken piece is determined
     by the others, so its interval does not telescope).
     """
-    system = constraint_system(p, n, model)
-    vals = validate_prefix(system, lengths_prefix)
+    vals = validate_prefix(p, n, lengths_prefix, model)
     i = len(vals) + 1
     top = n if model == "pickup" else n - 1
     if not 2 <= i <= top:
         raise DomainError(
             f"identity covers prefixes of 1..{top - 1} lengths, got {len(vals)}"
         )
-    lo_i, hi_i = system.bounds(vals)
-    _, hi_prev = system.bounds(vals[:-1])
-    lhs = system.max_denominators[i - 1] * (hi_i - lo_i)
-    rhs = system.max_denominators[i - 2] * (hi_prev - vals[-1])
+    lo_i, hi_i = bounds(p, n, vals, model)
+    _, hi_prev = bounds(p, n, vals[:-1], model)
+    denominators = _bound_table(p, n, model)[1]
+    lhs = denominators[i - 1] * (hi_i - lo_i)
+    rhs = denominators[i - 2] * (hi_prev - vals[-1])
     return lhs == rhs
 
 
@@ -370,10 +350,9 @@ def sample_feasible_prefix(
         raise DomainError(f"prefix length must be 1..{n - 1}, got {k}")
     if max_denominator < 1:
         raise DomainError("max_denominator must be >= 1")
-    system = constraint_system(p, n, model)
     prefix: list[Fraction] = []
     for _ in range(k):
-        lo, hi = system.bounds(prefix)
+        lo, hi = bounds(p, n, prefix, model)
         t = Fraction(rng.randrange(max_denominator + 1), max_denominator)
         prefix.append(lo + (hi - lo) * t)
     return tuple(prefix)

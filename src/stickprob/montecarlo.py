@@ -2,10 +2,10 @@
 
 Randomness is counter-based: trial t always consumes the same fixed-size
 slice of a Philox stream for a given seed, so an estimate is bit identical
-however the trials are chunked or spread over workers.  Per-trial draws
-are derived from raw 64-bit words (uniforms from the top 53 bits,
-exponentials through the inverse CDF) instead of stateful generator
-methods, which keeps the word budget per trial constant.
+however the trials are chunked or spread over workers.  Each Philox word
+gives one uniform from its top 53 bits (``Generator.random``), and lengths
+come from those uniforms (exponentials through the inverse CDF), never from
+the generator's own samplers, so the word budget per trial stays constant.
 
 Floating point is deliberate here: the Monte Carlo error at any feasible
 trial count dwarfs rounding error.  Exactness lives in the closed forms
@@ -63,7 +63,6 @@ EVENTS = {"pn": NO_POLYGON, "pa": ALL_POLYGON, "pr": RANDOM_SUBSET_POLYGON}
 
 _WORDS_PER_BLOCK = 4  # Philox4x64 words per counter increment
 _TRIALS_PER_CHUNK = 1 << 16
-_UNIT = 2.0**-53  # top 53 bits of a word -> [0, 1)
 
 
 @dataclass(frozen=True)
@@ -273,15 +272,9 @@ def _run_chunk(
 ) -> int:
     t0, t1 = span
     count = t1 - t0
-    gen = np.random.Philox(key=seed, counter=t0 * blocks_per_trial)
-    words = gen.random_raw(count * blocks_per_trial * _WORDS_PER_BLOCK)
-    words = words.reshape(count, blocks_per_trial * _WORDS_PER_BLOCK)
+    bits = np.random.Philox(key=seed, counter=t0 * blocks_per_trial)
+    u = np.random.Generator(bits).random((count, blocks_per_trial * _WORDS_PER_BLOCK))
     n_len = dist.uniforms_per_trial(n)
-    need = n_len + event.uniforms_per_trial()
-    if need:
-        u = (words[:, :need] >> np.uint64(11)) * _UNIT
-    else:
-        u = np.empty((count, 0), dtype=np.float64)
     lengths = _lengths_from_uniforms(dist, n, u[:, :n_len])
     if event.kind == NO_POLYGON:
         ok = _no_polygon_rows(lengths, event.p)

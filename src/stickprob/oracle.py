@@ -219,18 +219,8 @@ def integration_chain(
 def symbolic_pn_pickup(
     p: int, n: int, size_guard: int = DEFAULT_SIZE_GUARD
 ) -> ExactProb:
-    """PN for pick-up sticks by direct iterated integration."""
-    final = None
-    for _, poly in integration_chain(p, n, size_guard):
-        final = poly
-    anti = final.antiderivative(0)
-    hi = _upper_bound_poly(p, n, 1)
-    lo = MultiPoly.constant(n, 0)
-    value = (
-        anti.substitute(0, hi).constant_value()
-        - anti.substitute(0, lo).constant_value()
-    )
-    return ExactProb.from_fraction(value * factorial(n))
+    """PN for pick-up sticks by direct iterated integration (a = 0)."""
+    return symbolic_pn_truncated(p, n, 0, size_guard)
 
 
 def symbolic_pn_truncated(

@@ -183,12 +183,14 @@ def check_broken_prefix_sums_for_triangles() -> CheckResult:
 
 
 def check_denominators_nonincreasing() -> CheckResult:
+    # m and s (with its implied s_n = 1) both end at 1 and never grow
     bad = []
     for p in range(2, 7):
         for n in range(p + 1, 31):
-            m = m_constants(p, n)
-            if any(a < b for a, b in zip(m, m[1:])) or m[-1] < 1:
-                bad.append(f"p={p} n={n}")
+            dens = {"m": m_constants(p, n), "s": s_constants(p, n) + (1,)}
+            for name, den in dens.items():
+                if any(a < b for a, b in zip(den, den[1:])) or den[-1] != 1:
+                    bad.append(f"{name} p={p} n={n}")
     return _result("denominators_nonincreasing", bad)
 
 

@@ -7,10 +7,12 @@ from random import Random
 
 import pytest
 
+from stickprob import verify
 from stickprob.constraints import (
+    BOUND_MODELS,
     LinearForm,
+    bounds,
     check_max_min_identity,
-    constraint_system,
     e_vector,
     m_constants,
     m_constants_via_jacobian,
@@ -21,6 +23,7 @@ from stickprob.constraints import (
     validate_prefix,
 )
 from stickprob.errors import DomainError, InfeasiblePrefixError
+from stickprob.montecarlo import MODELS
 from stickprob.sequences import fib, fib_prefix_sum
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -35,7 +38,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
     lambda p: m_constants(p, 5),
     lambda p: s_constants(p, 5),
     lambda p: m_constants_via_jacobian(p, 5),
-    lambda p: constraint_system(p, 5),
+    lambda p: bounds(p, 5, ()),
+    lambda p: validate_prefix(p, 5, ()),
 ])
 def test_rejects_p_below_two(call, p):
     with pytest.raises(DomainError, match="p must be >= 2"):
@@ -59,6 +63,11 @@ class TestLinearForm:
     def test_rejects_wrong_length(self):
         with pytest.raises(DomainError):
             LinearForm(2, (1,))
+
+    def test_float_lengths_raise(self):
+        form = LinearForm(2, (1, 1))
+        with pytest.raises(DomainError, match="not floats"):
+            form.evaluate([Fraction(1, 4), 0.5])
 
     def test_str(self):
         assert str(LinearForm(4, (1, 0, 2, 1))) == "l4 + 2*l3 + l1"
@@ -210,33 +219,76 @@ class TestConstants:
                 assert all(a >= b for a, b in zip(m, m[1:]))
                 assert m[-1] >= 1
 
+    def test_nonincreasing_check_covers_both_models(self, monkeypatch):
+        assert verify.check_denominators_nonincreasing().passed
+        monkeypatch.setattr(verify, "s_constants", lambda p, n: (1,) * (n - 2) + (2,))
+        result = verify.check_denominators_nonincreasing()
+        assert not result.passed
+        assert result.detail.startswith("s p=2 n=3")
+        monkeypatch.setattr(verify, "m_constants", lambda p, n: (2,) * n)
+        assert verify.check_denominators_nonincreasing().detail.startswith("m p=2 n=3")
+
 
 class TestConstraintSystem:
+    """The bound intervals of one (p, n, model) system, read by ``bounds``."""
+
+    def test_bound_models_are_sampling_models(self):
+        assert set(BOUND_MODELS) <= set(MODELS)
+
     def test_bounds_of_first_stick(self):
-        system = constraint_system(2, 4)
-        lo, hi = system.bounds(())
-        assert (lo, hi) == (0, Fraction(1, 3))
+        assert bounds(2, 4, ()) == (0, Fraction(1, 3))
 
     def test_bounds_of_last_stick_pickup(self):
-        system = constraint_system(2, 4)
         prefix = (Fraction(1, 10), Fraction(1, 5), Fraction(1, 2))
-        lo, hi = system.bounds(prefix)
+        lo, hi = bounds(2, 4, prefix)
         assert lo == Fraction(7, 10)
         assert hi == 1
 
+    def test_bounds_are_fractions_for_int_prefixes(self):
+        for model, cap in (("pickup", 1), ("broken", Fraction(1, 2))):
+            lo, hi = bounds(2, 4, (0, 0), model)
+            assert (lo, hi) == (0, cap)
+            assert type(lo) is Fraction and type(hi) is Fraction
+
+    def test_float_prefix_raises(self):
+        for model in BOUND_MODELS:
+            with pytest.raises(DomainError, match="not floats"):
+                bounds(2, 4, (0.1,), model)
+            with pytest.raises(DomainError, match="not floats"):
+                bounds(3, 6, (Fraction(1, 20), 0.1, Fraction(1, 5)), model)
+
+    def test_validate_prefix_makes_fractions_once(self):
+        vals = validate_prefix(2, 4, (0.25, 0.375))
+        assert vals == (Fraction(1, 4), Fraction(3, 8))
+        assert all(type(x) is Fraction for x in vals)
+
     def test_validate_prefix_flags_violations(self):
-        system = constraint_system(2, 4)
-        with pytest.raises(InfeasiblePrefixError):
-            validate_prefix(system, (Fraction(1, 2),))  # above the 1/3 cap
+        with pytest.raises(InfeasiblePrefixError, match=r"l_1 = 1/2 outside \[0, 1/3\]"):
+            validate_prefix(2, 4, (Fraction(1, 2),))  # above the 1/3 cap
+        message = r"l_2 = 1/2 outside \[0, 1/4\] \(broken, p=2, n=4\)"
+        with pytest.raises(InfeasiblePrefixError, match=message):
+            validate_prefix(2, 4, (0, Fraction(1, 2)), "broken")
+
+    def test_validate_prefix_rejects_overlong_prefix(self):
+        with pytest.raises(DomainError, match="prefix longer than n = 4"):
+            validate_prefix(2, 4, (0,) * 5)
 
     def test_models_share_min_forms(self):
-        pick = constraint_system(3, 6, "pickup")
-        broke = constraint_system(3, 6, "broken")
-        assert pick.min_forms == broke.min_forms
+        rng = Random(31)
+        for p, n in ((2, 5), (3, 6), (4, 7)):
+            for k in range(n):
+                prefix = sample_feasible_prefix(p, n, k, rng, "broken") if k else ()
+                pick, broke = bounds(p, n, prefix), bounds(p, n, prefix, "broken")
+                assert pick[0] == broke[0]
+                assert broke[1] <= pick[1]
+
+    def test_prefix_selects_a_stick(self):
+        with pytest.raises(DomainError, match="valid range 1..4"):
+            bounds(2, 4, (0,) * 4)
 
     def test_rejects_unknown_model(self):
         with pytest.raises(DomainError):
-            constraint_system(2, 4, "bent")
+            bounds(2, 4, (), "bent")
 
 
 class TestMaxMinIdentity:
@@ -279,11 +331,10 @@ class TestFeasibleSampling:
     def test_prefixes_validate(self):
         rng = Random(99)
         for model in ("pickup", "broken"):
-            system = constraint_system(3, 7, model)
             for _ in range(50):
                 k = rng.randint(1, 6)
                 prefix = sample_feasible_prefix(3, 7, k, rng, model=model)
-                validate_prefix(system, prefix)
+                assert validate_prefix(3, 7, prefix, model) == prefix
 
     def test_rejects_bad_length(self):
         with pytest.raises(DomainError):

@@ -232,6 +232,17 @@ class TestEstimate:
         joint = (lo.std_err**2 + hi.std_err**2) ** 0.5
         assert abs(lo.p_hat - hi.p_hat) <= 4 * joint
 
+    @pytest.mark.parametrize("seed", [0, 2**63 + 5])
+    @pytest.mark.parametrize("counter", [0, 3 * 65_536])
+    def test_uniforms_are_the_top_53_bits_of_each_word(self, seed, counter):
+        # the RNG scheme behind every chunk: Generator.random reads one Philox
+        # word per uniform, in stream order, and keeps its top 53 bits
+        shape = (5, 12)
+        gen = np.random.Generator(np.random.Philox(key=seed, counter=counter))
+        words = np.random.Philox(key=seed, counter=counter).random_raw(60)
+        expected = (words.reshape(shape) >> np.uint64(11)) * 2.0**-53
+        assert np.array_equal(gen.random(shape), expected)
+
     def test_broken_single_piece(self):
         # degenerate but well-defined: one piece of length 1, no polygon
         est = estimate(
