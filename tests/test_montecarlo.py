@@ -243,6 +243,21 @@ class TestEstimate:
         expected = (words.reshape(shape) >> np.uint64(11)) * 2.0**-53
         assert np.array_equal(gen.random(shape), expected)
 
+    @pytest.mark.parametrize("seed", [0, 2**63 + 5])
+    def test_successive_whole_block_draws_continue_one_stream(self, seed):
+        # a chunk draws its rows a sub-block at a time from one generator;
+        # each draw is a whole number of Philox blocks, so the draws continue
+        # the stream exactly where one large draw would
+        width = 3 * 4
+        whole = np.random.Generator(np.random.Philox(key=seed, counter=7)).random((1000, width))
+        gen = np.random.Generator(np.random.Philox(key=seed, counter=7))
+        buf = np.empty((300, width))
+        parts = []
+        for rows in (300, 1, 299, 300, 100):
+            gen.random(out=buf[:rows])
+            parts.append(buf[:rows].copy())
+        assert np.array_equal(np.concatenate(parts), whole)
+
     def test_broken_single_piece(self):
         # degenerate but well-defined: one piece of length 1, no polygon
         est = estimate(
@@ -431,3 +446,30 @@ def test_estimate_runs_each_chunk_through_the_module_hook(monkeypatch, workers):
     spans = [(0, 65_536), (65_536, 131_072), (131_072, 131_077)]
     assert sorted(calls, key=lambda c: c[-1]) == [(event, dist, 7, 11, 3, s) for s in spans]
     assert est.successes == sum(inner(*c) for c in calls)
+
+
+def _seam_cases():
+    for event in (NO_POLYGON, ALL_POLYGON, RANDOM_SUBSET_POLYGON):
+        for model in montecarlo.MODELS:
+            for p in (2, 3):
+                ns = [p + 1, 20]
+                if model == "broken" and event != RANDOM_SUBSET_POLYGON:
+                    ns.insert(0, 1)
+                for n in ns:
+                    yield event, model, p, n
+
+
+@pytest.mark.parametrize(("event", "model", "p", "n"), list(_seam_cases()))
+def test_chunk_splits_at_sub_block_seams(event, model, p, n):
+    # a chunk over [0, 65536) scores the same trials as any two chunks that
+    # split it, including splits on and next to the 8192-row sub-blocks
+    event, dist = EventSpec(event, p), DistributionSpec(model, a=0.25, rate=3.0)
+    words = dist.uniforms_per_trial(n) + event.uniforms_per_trial()
+    blocks = max(1, -(-words // 4))
+
+    def run(t0, t1):
+        return montecarlo._run_chunk(event, dist, n, 5, blocks, (t0, t1))
+
+    whole = run(0, 65_536)
+    for k in (1, 8191, 8192, 8193, 65_535):
+        assert run(0, k) + run(k, 65_536) == whole, k
