@@ -7,6 +7,14 @@ gives one uniform from its top 53 bits (``Generator.random``), and lengths
 come from those uniforms (exponentials through the inverse CDF), never from
 the generator's own samplers, so the word budget per trial stays constant.
 
+A chunk of up to 65 536 trials reads one Philox stream and is scored
+8192 rows at a time: each sub-block's uniforms and lengths are written into
+two buffers reused across the chunk, and its predicate results into one
+per-chunk array.  With w words and n lengths per trial, a chunk's samples
+so take about 8192 x (w + n) x 8 bytes, small enough to stay in cache
+between the steps, not the 65 536 x (w + n) x 8 bytes of one draw over the
+whole chunk.
+
 Floating point is deliberate here: the Monte Carlo error at any feasible
 trial count dwarfs rounding error.  Exactness lives in the closed forms
 and the symbolic oracle.
@@ -63,11 +71,20 @@ EVENTS = {"pn": NO_POLYGON, "pa": ALL_POLYGON, "pr": RANDOM_SUBSET_POLYGON}
 
 _WORDS_PER_BLOCK = 4  # Philox4x64 words per counter increment
 _TRIALS_PER_CHUNK = 1 << 16
+_ROWS_PER_BLOCK = 1 << 13  # rows scored at a time within a chunk
+_RATE_RANGE = (1e-280, 1e280)  # see DistributionSpec
 
 
 @dataclass(frozen=True)
 class DistributionSpec:
-    """Sampling model for the stick lengths."""
+    """Sampling model for the stick lengths.
+
+    ``a`` is the truncation point of the ``truncated`` model, in [0, 1).
+    ``rate`` is the ``exponential`` model's rate, a finite number in
+    [1e-280, 1e280]: the positive lengths -log1p(-u) / rate then lie in
+    [2**-53, 53 ln 2] / rate, so every length, and every sum of fewer than
+    2**63 of them, is a normal float.
+    """
 
     kind: str
     a: float = 0.0
@@ -78,8 +95,9 @@ class DistributionSpec:
             raise DomainError(f"unknown sampling model {self.kind!r}")
         if self.kind == "truncated" and not 0.0 <= self.a < 1.0:
             raise DomainError(f"truncation point must lie in [0, 1), got {self.a}")
-        if self.kind == "exponential" and not self.rate > 0.0:
-            raise DomainError(f"rate must be positive, got {self.rate}")
+        lo, hi = _RATE_RANGE
+        if self.kind == "exponential" and not lo <= self.rate <= hi:
+            raise DomainError(f"rate must be a number in [{lo:g}, {hi:g}], got {self.rate}")
 
     @classmethod
     def uniform01(cls) -> "DistributionSpec":
@@ -132,20 +150,28 @@ class MCEstimate:
     successes: int
 
 
-def _lengths_from_uniforms(
-    dist: DistributionSpec, n: int, u: np.ndarray
-) -> np.ndarray:
-    """Map rows of uniforms to rows of sorted lengths."""
+def _lengths_into(dist: DistributionSpec, u: np.ndarray, x: np.ndarray) -> None:
+    """Write the sorted lengths for each row of uniforms ``u`` into the
+    ``(rows, n)`` array ``x``.  A broken stick sorts its cuts in ``u``."""
     if dist.kind == "pickup":
-        x = u
+        np.copyto(x, u)
     elif dist.kind == "truncated":
-        x = dist.a + (1.0 - dist.a) * u
+        np.multiply(u, 1.0 - dist.a, out=x)
+        np.add(x, dist.a, out=x)
     elif dist.kind == "exponential":
-        x = -np.log1p(-u) / dist.rate
+        np.negative(u, out=x)
+        np.log1p(x, out=x)
+        np.negative(x, out=x)
+        np.divide(x, dist.rate, out=x)
+    elif u.shape[1]:
+        # the spacings between 0, the sorted cuts and 1
+        u.sort(axis=1)
+        x[:, 0] = u[:, 0]
+        np.subtract(u[:, 1:], u[:, :-1], out=x[:, 1:-1])
+        np.subtract(1.0, u[:, -1], out=x[:, -1])
     else:
-        cuts = np.sort(u, axis=1)
-        x = np.diff(cuts, axis=1, prepend=0.0, append=1.0)
-    return np.sort(x, axis=1)
+        x.fill(1.0)  # a broken stick with no cuts is one whole piece
+    x.sort(axis=1)
 
 
 def sample_lengths(dist: DistributionSpec, n: int, stream) -> np.ndarray:
@@ -157,8 +183,11 @@ def sample_lengths(dist: DistributionSpec, n: int, stream) -> np.ndarray:
     if n < 1:
         raise DomainError(f"stick count n must be >= 1, got {n}")
     k = dist.uniforms_per_trial(n)
-    u = np.asarray(stream.random(k), dtype=np.float64).reshape(1, k)
-    return _lengths_from_uniforms(dist, n, u)[0]
+    # a copy, since a broken stick's cuts are sorted in place
+    u = np.array(stream.random(k), dtype=np.float64).reshape(1, k)
+    x = np.empty((1, n))
+    _lengths_into(dist, u, x)
+    return x[0]
 
 
 def _as_sorted_array(lengths) -> np.ndarray:
@@ -270,18 +299,31 @@ def _run_chunk(
     blocks_per_trial: int,
     span: tuple[int, int],
 ) -> int:
+    # One Philox stream per chunk, read and scored a sub-block of rows at a
+    # time through buffers reused across sub-blocks, so that the uniforms
+    # and lengths of a sub-block stay in cache.  Each row is a whole number
+    # of Philox blocks, so successive draws continue the stream exactly
+    # where one draw over the chunk would.
     t0, t1 = span
     count = t1 - t0
     bits = np.random.Philox(key=seed, counter=t0 * blocks_per_trial)
-    u = np.random.Generator(bits).random((count, blocks_per_trial * _WORDS_PER_BLOCK))
+    gen = np.random.Generator(bits)
+    rows = min(count, _ROWS_PER_BLOCK)
+    ubuf = np.empty((rows, blocks_per_trial * _WORDS_PER_BLOCK))
+    xbuf = np.empty((rows, n))
     n_len = dist.uniforms_per_trial(n)
-    lengths = _lengths_from_uniforms(dist, n, u[:, :n_len])
-    if event.kind == NO_POLYGON:
-        ok = _no_polygon_rows(lengths, event.p)
-    elif event.kind == ALL_POLYGON:
-        ok = _all_polygon_rows(lengths, event.p)
-    else:
-        ok = _subset_rows(lengths, event.p, u[:, n_len:])
+    ok = np.empty(count, dtype=bool)
+    for b0 in range(0, count, rows):
+        b1 = min(b0 + rows, count)
+        u, lengths = ubuf[: b1 - b0], xbuf[: b1 - b0]
+        gen.random(out=u)
+        _lengths_into(dist, u[:, :n_len], lengths)
+        if event.kind == NO_POLYGON:
+            ok[b0:b1] = _no_polygon_rows(lengths, event.p)
+        elif event.kind == ALL_POLYGON:
+            ok[b0:b1] = _all_polygon_rows(lengths, event.p)
+        else:
+            ok[b0:b1] = _subset_rows(lengths, event.p, u[:, n_len:])
     return int(ok.sum())
 
 

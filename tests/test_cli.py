@@ -92,6 +92,11 @@ class TestCompute:
              "--n", "4", "--trials", "10", "--rate", "0"],
             ["simulate", "--event", "pn", "--model", "exponential", "--p", "2",
              "--n", "4", "--trials", "10", "--rate", "-1"],
+            # every length overflows, or collapses into a tie with the others
+            ["simulate", "--event", "pn", "--model", "exponential", "--p", "2",
+             "--n", "5", "--trials", "20000", "--seed", "1", "--rate", "inf"],
+            ["simulate", "--event", "pn", "--model", "exponential", "--p", "2",
+             "--n", "5", "--trials", "20000", "--seed", "1", "--rate", "1e-320"],
         ]
         for args in cases:
             # an exception the CLI lets escape fails here instead of exiting 1

@@ -41,6 +41,23 @@ class TestSpecs:
         with pytest.raises(DomainError):
             DistributionSpec.exponential(0.0)
 
+    @pytest.mark.parametrize(
+        "rate", [np.inf, -np.inf, np.nan, 1e-320, 0.0, -1.0,
+                 np.nextafter(1e-280, 0.0), np.nextafter(1e280, np.inf)],
+    )
+    def test_exponential_rate_outside_range(self, rate):
+        with pytest.raises(DomainError):
+            DistributionSpec.exponential(rate)
+
+    @pytest.mark.parametrize("rate", [1e-280, 1e280])
+    def test_exponential_lengths_stay_normal_at_the_rate_limits(self, rate):
+        # the smallest positive and the largest uniform a Philox word gives
+        u = np.array([[2.0**-53, 1.0 - 2.0**-53]])
+        x = np.empty((1, 2))
+        montecarlo._lengths_into(DistributionSpec.exponential(rate), u, x)
+        assert x[0, 0] >= np.finfo(np.float64).tiny
+        assert np.isfinite(x[0, 1] * 2.0**63)
+
     def test_event_validation(self):
         with pytest.raises(DomainError):
             EventSpec("sometimes_polygon", 2)
