@@ -72,7 +72,6 @@ EVENTS = {"pn": NO_POLYGON, "pa": ALL_POLYGON, "pr": RANDOM_SUBSET_POLYGON}
 _WORDS_PER_BLOCK = 4  # Philox4x64 words per counter increment
 _TRIALS_PER_CHUNK = 1 << 16
 _ROWS_PER_BLOCK = 1 << 13  # rows scored at a time within a chunk
-_RATE_RANGE = (1e-280, 1e280)  # see DistributionSpec
 
 
 @dataclass(frozen=True)
@@ -95,9 +94,8 @@ class DistributionSpec:
             raise DomainError(f"unknown sampling model {self.kind!r}")
         if self.kind == "truncated" and not 0.0 <= self.a < 1.0:
             raise DomainError(f"truncation point must lie in [0, 1), got {self.a}")
-        lo, hi = _RATE_RANGE
-        if self.kind == "exponential" and not lo <= self.rate <= hi:
-            raise DomainError(f"rate must be a number in [{lo:g}, {hi:g}], got {self.rate}")
+        if self.kind == "exponential" and not 1e-280 <= self.rate <= 1e280:
+            raise DomainError(f"rate must be a number in [1e-280, 1e280], got {self.rate}")
 
     @classmethod
     def uniform01(cls) -> "DistributionSpec":
@@ -299,11 +297,9 @@ def _run_chunk(
     blocks_per_trial: int,
     span: tuple[int, int],
 ) -> int:
-    # One Philox stream per chunk, read and scored a sub-block of rows at a
-    # time through buffers reused across sub-blocks, so that the uniforms
-    # and lengths of a sub-block stay in cache.  Each row is a whole number
-    # of Philox blocks, so successive draws continue the stream exactly
-    # where one draw over the chunk would.
+    # Each row is a whole number of Philox blocks, so the sub-blocks'
+    # successive draws continue the stream exactly where one draw over the
+    # chunk would.
     t0, t1 = span
     count = t1 - t0
     bits = np.random.Philox(key=seed, counter=t0 * blocks_per_trial)

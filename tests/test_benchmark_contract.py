@@ -3,11 +3,14 @@
 perfbench's tracer looks up every name in each module's ``__all__``, and its
 mutation tests patch the program at fixed anchor strings.  A stale export or
 a moved anchor breaks benchmark runs, so both are checked here, reading the
-anchors from perfbench's own test module rather than copying them.
+anchors from perfbench's own test module rather than copying them.  The
+committed campaign records, ``BENCH_*.json`` at the root, are checked to
+name only what ``BENCHMARK.json`` declares, so that two of them compare.
 """
 
 import ast
 import importlib
+import json
 import pkgutil
 from pathlib import Path
 
@@ -46,3 +49,17 @@ def test_mutation_anchor_occurs_once(mutation):
     _, filename, anchor, _ = MUTATIONS[mutation]
     text = (ROOT / "src" / "stickprob" / filename).read_text()
     assert text.count(anchor) == 1
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_bench_record_names_declared_workloads_and_metrics(path):
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in spec["workloads"]}
+    record = json.loads(path.read_text())
+    assert record["end_to_end"]
+    for section in ("end_to_end", "per_layer"):
+        declared = {m["name"]: m["unit"] for m in spec[section]}
+        for workload, metrics in record.get(section, {}).items():
+            assert workload in workloads, (section, workload)
+            for name, metric in metrics.items():
+                assert declared.get(name) == metric["unit"], (section, workload, name)
