@@ -7,11 +7,14 @@ uniformly chosen subset of p+1 does.  Sampling models: pick-up sticks
 independent exponential lengths, and the broken stick (a unit stick cut at
 n-1 uniform positions).
 
-Everything returns an ``ExactProb``: a reduced big-integer fraction.  The
-PN evaluators each run two algebraically distinct routes and assert their
-agreement (skipped under ``python -O``).  Each denominator is a balanced
-product tree over the n factors (``_product``).  ``closed_form`` is the
-one place that says which evaluator serves which (event, model) pair.
+Everything returns an ``ExactProb``: a reduced big-integer fraction.  Each
+denominator is a balanced product tree over the n factors (``_product``).
+``closed_form`` is the one place that says which evaluator serves which
+(event, model) pair.
+
+Cross-route checks live in ``verify`` and the tests, which also run under
+``python -O``.  The one ``assert`` left, in ``pn_pickup``, is kept because
+the benchmark's ``exact-raises`` mutation patches it.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ from math import factorial, gcd
 from typing import Callable, Iterable, Union
 
 from .constraints import m_constants, s_constants
-from .errors import DomainError, ResourceLimitError, UnsupportedFormulaError, require_p
-from .sequences import fib, fib_prefix_sum, t_value
+from .errors import DomainError, ResourceLimitError, UnsupportedFormulaError
+from .errors import require_n, require_p, require_truncation
+from .sequences import fib, t_value
 
 __all__ = [
     "ExactProb",
@@ -94,11 +98,6 @@ class ExactProb:
         return f"{self.numerator}/{self.denominator}"
 
 
-def _require_n(n: int) -> None:
-    if n < 1:
-        raise DomainError(f"stick count n must be >= 1, got {n}")
-
-
 def is_vacuous(p: int, n: int) -> bool:
     """True when no subset of p+1 sticks exists, so PN and PA hold trivially.
 
@@ -143,7 +142,7 @@ def pn_pickup(p: int, n: int) -> ExactProb:
     step-Fibonacci product acts as a second route.
     """
     require_p(p)
-    _require_n(n)
+    require_n(n)
     if is_vacuous(p, n):
         return ExactProb(1, 1)
     result = Fraction(1, _product(m_constants(p, n)))
@@ -158,10 +157,8 @@ def pn_pickup_truncated(p: int, n: int, a: RationalLike) -> ExactProb:
     reaches the cap 1/m_1 on the shortest stick the event is impossible.
     """
     require_p(p)
-    _require_n(n)
-    a = Fraction(a)
-    if not 0 <= a < 1:
-        raise DomainError(f"truncation point a must be in [0, 1), got {a}")
+    require_n(n)
+    a = require_truncation(a)
     if is_vacuous(p, n):
         return ExactProb(1, 1)
     m = m_constants(p, n)
@@ -171,24 +168,14 @@ def pn_pickup_truncated(p: int, n: int, a: RationalLike) -> ExactProb:
     return ExactProb.from_fraction(scale / _product(m))
 
 
-def _pn_broken_prefix_sum_form(p: int, n: int) -> Fraction:
-    den = _corrected_product(lambda i: fib_prefix_sum(p, i), p, n)
-    return Fraction(factorial(n), den)
-
-
 def pn_broken(p: int, n: int) -> ExactProb:
-    """PN for the n pieces of a unit stick broken at n-1 uniform positions.
-
-    n! times the product of reciprocal broken-stick denominators; the
-    prefix-sum product form acts as a second route.
-    """
+    """PN for the n pieces of a unit stick broken at n-1 uniform positions:
+    n! times the product of reciprocal broken-stick denominators."""
     require_p(p)
-    _require_n(n)
+    require_n(n)
     if is_vacuous(p, n):
         return ExactProb(1, 1)
-    result = Fraction(factorial(n), _product(s_constants(p, n)))
-    assert result == _pn_broken_prefix_sum_form(p, n), "PN broken routes disagree"
-    return ExactProb.from_fraction(result)
+    return ExactProb.from_fraction(Fraction(factorial(n), _product(s_constants(p, n))))
 
 
 def pn_exponential(p: int, n: int) -> ExactProb:
@@ -199,7 +186,7 @@ def pn_exponential(p: int, n: int) -> ExactProb:
     broken-stick probability.
     """
     require_p(p)
-    _require_n(n)
+    require_n(n)
     if is_vacuous(p, n):
         return ExactProb(1, 1)
     den = _corrected_product(lambda k: t_value(p, k), p, n)
@@ -214,7 +201,7 @@ def pa_pickup(p: int, n: int) -> ExactProb:
     closed form and must go through the Monte Carlo estimator.
     """
     require_p(p)
-    _require_n(n)
+    require_n(n)
     if p not in (2, 3):
         raise UnsupportedFormulaError(
             "no closed form for the all-subsets probability with p >= 4; "

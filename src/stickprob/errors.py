@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the one domain rule
-every module enforces."""
+"""Exception types shared across the package, and the domain rules that
+more than one module enforces."""
+
+from fractions import Fraction
 
 
 class SticksError(Exception):
@@ -27,3 +29,17 @@ def require_p(p: int) -> None:
     Fibonacci recurrence needs at least two terms."""
     if p < 2:
         raise DomainError(f"polygon parameter p must be >= 2, got {p}")
+
+
+def require_n(n: int) -> None:
+    """Reject n < 1: there is no stick to draw."""
+    if n < 1:
+        raise DomainError(f"stick count n must be >= 1, got {n}")
+
+
+def require_truncation(a: "Fraction | int | str") -> Fraction:
+    """The truncation point a as a Fraction, rejected outside [0, 1)."""
+    a = Fraction(a)
+    if not 0 <= a < 1:
+        raise DomainError(f"truncation point a must be in [0, 1), got {a}")
+    return a

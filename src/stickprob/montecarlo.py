@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, require_p
+from .errors import DomainError, require_n, require_p
 
 __all__ = [
     "MODELS",
@@ -178,8 +178,7 @@ def sample_lengths(dist: DistributionSpec, n: int, stream) -> np.ndarray:
     ``stream`` needs a numpy-style ``random(size)`` method returning
     uniforms in [0, 1); a ``numpy.random.Generator`` works.
     """
-    if n < 1:
-        raise DomainError(f"stick count n must be >= 1, got {n}")
+    require_n(n)
     k = dist.uniforms_per_trial(n)
     # a copy, since a broken stick's cuts are sorted in place
     u = np.array(stream.random(k), dtype=np.float64).reshape(1, k)
@@ -339,8 +338,7 @@ def estimate(
     boundaries.  Worker parallelism is a plain reduction over integer
     success counts, on at most one thread per chunk and per usable CPU.
     """
-    if n < 1:
-        raise DomainError(f"stick count n must be >= 1, got {n}")
+    require_n(n)
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     if workers < 1:

@@ -22,7 +22,7 @@ from typing import Iterator, Mapping, Union
 
 from .closedform import ExactProb
 from .constraints import max_length_form, min_length_form
-from .errors import DomainError, ResourceLimitError, require_p
+from .errors import DomainError, ResourceLimitError, require_p, require_truncation
 
 __all__ = [
     "DEFAULT_SIZE_GUARD",
@@ -235,9 +235,7 @@ def symbolic_pn_truncated(
     ``a``, rescaled by the density factor 1/(1-a)^n.  Zero once ``a``
     reaches the cap on the shortest stick.
     """
-    a = Fraction(a)
-    if not 0 <= a < 1:
-        raise DomainError(f"truncation point a must be in [0, 1), got {a}")
+    a = require_truncation(a)
     final = None
     for _, poly in integration_chain(p, n, size_guard):
         final = poly

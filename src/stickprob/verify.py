@@ -57,6 +57,7 @@ __all__ = [
 ]
 
 MC_BASE_SEED = 20250810
+_PREFIXES_PER_SYSTEM = 200  # feasible prefixes per (p, n) in the telescoping check
 
 
 @dataclass(frozen=True)
@@ -194,14 +195,12 @@ def check_denominators_nonincreasing() -> CheckResult:
     return _result("denominators_nonincreasing", bad)
 
 
-def check_interval_telescoping_identity(
-    prefixes_per_system: int = 200,
-) -> CheckResult:
+def check_interval_telescoping_identity() -> CheckResult:
     rng = Random(1105)
     bad = []
     for p in (2, 3, 4):
         for n in range(p + 1, 9):
-            for _ in range(prefixes_per_system):
+            for _ in range(_PREFIXES_PER_SYSTEM):
                 k = rng.randint(1, n - 1)
                 prefix = sample_feasible_prefix(p, n, k, rng)
                 if not check_max_min_identity(p, n, prefix):
@@ -424,6 +423,7 @@ _CONCORDANCE_GRID = (
     ("pr", "pickup", 3, (6,)),
 )
 _CONCORDANCE_TRUNCATION = Fraction(1, 10)
+_RETRY_FACTOR = 10
 
 
 def concordance_targets() -> tuple[ConcordanceTarget, ...]:
@@ -449,11 +449,10 @@ def run_concordance(
     trials: int = 10**6,
     seed: int = MC_BASE_SEED,
     workers: int = 1,
-    retry_factor: int = 10,
 ) -> list[CheckResult]:
     """Compare every target against its closed form at 4 standard errors.
 
-    A single miss is rerun once at retry_factor times the trials before it
+    A single miss is rerun once at _RETRY_FACTOR times the trials before it
     counts as a failure; a genuine defect will not survive the tighter
     interval, while an unlucky draw almost always will.
     """
@@ -469,7 +468,7 @@ def run_concordance(
                 target.event,
                 target.dist,
                 target.n,
-                trials * retry_factor,
+                trials * _RETRY_FACTOR,
                 seed + offset,
                 workers,
             )

@@ -3,7 +3,9 @@
 perfbench's tracer looks up every name in each module's ``__all__``, and its
 mutation tests patch the program at fixed anchor strings.  A stale export or
 a moved anchor breaks benchmark runs, so both are checked here, reading the
-anchors from perfbench's own test module rather than copying them.  The
+anchors from perfbench's own test module rather than copying them.  An
+``assert`` in the package must be such an anchor: cross-route checks belong
+in ``verify`` and the tests, which ``python -O`` does not strip.  The
 committed campaign records, ``BENCH_*.json`` at the root, are checked to
 name only what ``BENCHMARK.json`` declares, so that two of them compare.
 """
@@ -19,6 +21,7 @@ import pytest
 import stickprob
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "stickprob"
 MODULES = ["stickprob"] + [
     f"stickprob.{info.name}" for info in pkgutil.iter_modules(stickprob.__path__)
 ]
@@ -47,8 +50,23 @@ def test_every_exported_name_resolves(module):
 @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
 def test_mutation_anchor_occurs_once(mutation):
     _, filename, anchor, _ = MUTATIONS[mutation]
-    text = (ROOT / "src" / "stickprob" / filename).read_text()
+    text = (PACKAGE / filename).read_text()
     assert text.count(anchor) == 1
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: str(p.relative_to(PACKAGE))
+)
+def test_every_assert_is_a_mutation_anchor(path):
+    anchors = tuple(a for _, name, a, _ in MUTATIONS.values() if PACKAGE / name == path)
+    text = path.read_text()
+    stray = [
+        node.lineno
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Assert)
+        and not ast.get_source_segment(text, node).startswith(anchors)
+    ]
+    assert not stray
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)

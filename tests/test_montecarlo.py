@@ -97,7 +97,7 @@ class TestSampling:
         assert abs(lengths.mean() - 1.0) <= 4e-3  # 4 sigma of the mean
 
     def test_rejects_empty(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^stick count n must be >= 1, got 0$"):
             sample_lengths(DistributionSpec.uniform01(), 0, np.random.default_rng(0))
 
 
@@ -191,6 +191,8 @@ class TestEstimate:
     def test_validation(self):
         event = EventSpec(NO_POLYGON, 2)
         dist = DistributionSpec.uniform01()
+        with pytest.raises(DomainError, match=r"^stick count n must be >= 1, got 0$"):
+            estimate(event, dist, 0, 10, 1)
         with pytest.raises(DomainError):
             estimate(event, dist, 4, 0, 1)
         with pytest.raises(DomainError):

@@ -99,7 +99,7 @@ class TestSymbolicTruncated:
             )
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^truncation point a must be in .*, got 5/4$"):
             symbolic_pn_truncated(2, 3, Fraction(5, 4))
 
 
