@@ -7,14 +7,17 @@ uniformly chosen subset of p+1 does.  Sampling models: pick-up sticks
 independent exponential lengths, and the broken stick (a unit stick cut at
 n-1 uniform positions).
 
-Everything returns an ``ExactProb``: a reduced big-integer fraction.  Each
-denominator is a balanced product tree over the n factors (``_product``).
-``closed_form`` is the one place that says which evaluator serves which
-(event, model) pair.
+Everything returns an ``ExactProb``: a reduced big-integer fraction.  The
+denominator formulas live in ``constraints``; this module adds only the
+normalisers (1, n!, the truncation scale) and one balanced product tree
+over the n factors (``_product``).  ``closed_form`` is the one place that
+says which evaluator serves which (event, model) pair.
 
 Cross-route checks live in ``verify`` and the tests, which also run under
-``python -O``.  The one ``assert`` left, in ``pn_pickup``, is kept because
-the benchmark's ``exact-raises`` mutation patches it.
+``python -O``.  The one ``assert`` left, in ``pn_pickup``, compares the
+m-constant product with the same tail-corrected formula over the
+step-Fibonacci numbers, so it checks nothing; it stays only because the
+benchmark's ``exact-raises`` mutation patches that line.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
-from typing import Callable, Iterable, Union
+from typing import Iterable, Union
 
-from .constraints import m_constants, s_constants
+from .constraints import _tail_corrected, m_constants, s_constants
 from .errors import DomainError, ResourceLimitError, UnsupportedFormulaError
 from .errors import require_n, require_p, require_truncation
 from .sequences import fib, t_value
@@ -118,28 +121,17 @@ def _product(values: Iterable[int]) -> int:
     return level[0]
 
 
-def _corrected_product(value: Callable[[int], int], p: int, n: int) -> int:
-    """The product of value(i) for i = 1..n, where each of the last p-2
-    factors loses the weighted tail sum of j * value(i-j-1)."""
-    return _product(
-        [value(i) for i in range(1, n - p + 3)]
-        + [
-            value(i) - sum(j * value(i - j - 1) for j in range(1, i - n + p - 1))
-            for i in range(n - p + 3, n + 1)
-        ]
-    )
-
-
 def _pn_pickup_step_fib(p: int, n: int) -> Fraction:
-    # direct product over the step-Fibonacci numbers
-    return Fraction(1, _corrected_product(lambda i: fib(p, i), p, n))
+    # the m-constant formula again, read off the step-Fibonacci numbers
+    return Fraction(1, _product(_tail_corrected(fib, p, n, n)))
 
 
 def pn_pickup(p: int, n: int) -> ExactProb:
     """PN for n independent uniform [0, 1] lengths.
 
-    Evaluated as the product of reciprocal bound denominators; a direct
-    step-Fibonacci product acts as a second route.
+    Evaluated as the product of reciprocal bound denominators.  The
+    ``assert`` recomputes that same product and is no second route; it is
+    kept only as the benchmark's ``exact-raises`` mutation anchor.
     """
     require_p(p)
     require_n(n)
@@ -189,7 +181,7 @@ def pn_exponential(p: int, n: int) -> ExactProb:
     require_n(n)
     if is_vacuous(p, n):
         return ExactProb(1, 1)
-    den = _corrected_product(lambda k: t_value(p, k), p, n)
+    den = _product(_tail_corrected(t_value, p, n, n))
     return ExactProb.from_fraction(Fraction(factorial(n), den))
 
 

@@ -16,7 +16,8 @@ reciprocal denominators are exactly the closed-form probabilities.
 Three derivations of the same denominators live here on purpose:
 
 * closed forms over step-Fibonacci numbers (``m_constants``,
-  ``s_constants``, one tail-corrected loop) -- the production route;
+  ``s_constants``, one tail-corrected loop, which ``closedform`` also
+  runs over the exponential model's t sequence) -- the production route;
 * one chain of coefficient vectors e_k that unrolls the window recurrence
   (``e_vector``, ``max_length_form``): pick-up sticks read e_{n-i+1},
   broken sticks its running sum, and both read the numerator forms off
@@ -37,7 +38,7 @@ from functools import lru_cache
 from random import Random
 from typing import Sequence, Union
 
-from .errors import DomainError, InfeasiblePrefixError, require_p
+from .errors import DomainError, InfeasiblePrefixError, require_p, require_subset
 from .sequences import fib, fib_prefix_sum
 
 __all__ = [
@@ -64,14 +65,6 @@ Rational = Union[Fraction, int]
 def _check_model(model: str) -> None:
     if model not in BOUND_MODELS:
         raise DomainError(f"model must be one of {BOUND_MODELS}, got {model!r}")
-
-
-def _check_system(p: int, n: int) -> None:
-    require_p(p)
-    if n < p + 1:
-        raise DomainError(
-            f"constraint systems need n >= p + 1 = {p + 1} sticks, got {n}"
-        )
 
 
 @dataclass(frozen=True)
@@ -188,7 +181,7 @@ def max_length_form(
     rejected here.
     """
     _check_model(model)
-    _check_system(p, n)
+    require_subset(p, n)
     if not 1 <= i <= n - 1:
         raise DomainError(f"max forms cover sticks 1..{n - 1}, got {i}")
     width = min(i, p)
@@ -215,7 +208,7 @@ def _tail_corrected(term, p: int, n: int, count: int) -> tuple[int, ...]:
 def m_constants(p: int, n: int) -> tuple[int, ...]:
     """Pick-up sticks denominators m_1..m_n via the step-Fibonacci closed
     form: m_i = F_{n-i+1} minus a weighted tail for the first p-2 sticks."""
-    _check_system(p, n)
+    require_subset(p, n)
     return _tail_corrected(fib, p, n, n)
 
 
@@ -225,7 +218,7 @@ def s_constants(p: int, n: int) -> tuple[int, ...]:
     Same shape as ``m_constants`` with every step-Fibonacci number
     replaced by its prefix sum.
     """
-    _check_system(p, n)
+    require_subset(p, n)
     return _tail_corrected(fib_prefix_sum, p, n, n - 1)
 
 
@@ -237,7 +230,7 @@ def m_constants_via_jacobian(p: int, n: int) -> tuple[int, ...]:
     sum of the p rows above it plus a unit in slot i.  Row n reads off
     (m_1, ..., m_n).
     """
-    _check_system(p, n)
+    require_subset(p, n)
     rows: list[list[int]] = []
     for i in range(1, p + 1):
         rows.append([1] * i + [0] * (n - i))
@@ -259,7 +252,7 @@ def _bound_table(
     mixing them is safe.
     """
     _check_model(model)
-    _check_system(p, n)
+    require_subset(p, n)
     if model == "pickup":
         denominators = m_constants(p, n)
     else:

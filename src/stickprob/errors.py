@@ -37,6 +37,13 @@ def require_n(n: int) -> None:
         raise DomainError(f"stick count n must be >= 1, got {n}")
 
 
+def require_subset(p: int, n: int) -> None:
+    """Reject a bad p, or n < p + 1: no p + 1 of the n sticks to choose."""
+    require_p(p)
+    if n < p + 1:
+        raise DomainError(f"stick count n must be >= p + 1 = {p + 1}, got {n}")
+
+
 def require_truncation(a: "Fraction | int | str") -> Fraction:
     """The truncation point a as a Fraction, rejected outside [0, 1)."""
     a = Fraction(a)

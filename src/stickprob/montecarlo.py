@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, require_n, require_p
+from .errors import DomainError, require_n, require_p, require_subset
 
 __all__ = [
     "MODELS",
@@ -279,11 +279,8 @@ def _subset_rows(lengths: np.ndarray, p: int, u: np.ndarray) -> np.ndarray:
 
 def random_subset_polygon(sorted_lengths, p: int, stream) -> bool:
     """Draw one uniform subset of p+1 lengths; True iff that subset forms."""
-    require_p(p)
     arr = _as_sorted_array(sorted_lengths)
-    n = arr.shape[0]
-    if n < p + 1:
-        raise DomainError(f"need at least p + 1 = {p + 1} lengths, got {n}")
+    require_subset(p, arr.shape[0])
     u = np.asarray(stream.random(p + 1), dtype=np.float64).reshape(1, p + 1)
     return bool(_subset_rows(arr.reshape(1, -1), p, u)[0])
 
@@ -322,6 +319,15 @@ def _run_chunk(
     return int(ok.sum())
 
 
+def _check_run(trials: int, workers: int, seed: int) -> None:
+    if trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials}")
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
+    if not 0 <= seed < 2**64:
+        raise DomainError("seed must be a 64-bit nonnegative integer")
+
+
 def estimate(
     event: EventSpec,
     dist: DistributionSpec,
@@ -339,16 +345,9 @@ def estimate(
     success counts, on at most one thread per chunk and per usable CPU.
     """
     require_n(n)
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
-    if not 0 <= seed < 2**64:
-        raise DomainError("seed must be a 64-bit nonnegative integer")
-    if event.kind == RANDOM_SUBSET_POLYGON and n < event.p + 1:
-        raise DomainError(
-            f"subset events need n >= p + 1 = {event.p + 1}, got n = {n}"
-        )
+    _check_run(trials, workers, seed)
+    if event.kind == RANDOM_SUBSET_POLYGON:
+        require_subset(event.p, n)
     words_per_trial = dist.uniforms_per_trial(n) + event.uniforms_per_trial()
     blocks_per_trial = max(1, -(-words_per_trial // _WORDS_PER_BLOCK))
     spans = [

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping
 
-from .closedform import ExactProb
+from .closedform import ExactProb, RationalLike
 from .constraints import max_length_form, min_length_form
-from .errors import DomainError, ResourceLimitError, require_p, require_truncation
+from .errors import DomainError, ResourceLimitError, require_p, require_subset
+from .errors import require_truncation
 
 __all__ = [
     "DEFAULT_SIZE_GUARD",
@@ -35,8 +36,6 @@ __all__ = [
 ]
 
 DEFAULT_SIZE_GUARD = 8
-
-RationalLike = Union[Fraction, int, str]
 
 
 class MultiPoly:
@@ -136,20 +135,15 @@ class MultiPoly:
             degree = expo[var]
             reduced = list(expo)
             reduced[var] = 0
-            bucket = by_degree.setdefault(degree, MultiPoly(self.nvars))
-            key = tuple(reduced)
-            new = bucket.terms.get(key, Fraction(0)) + coeff
-            if new:
-                bucket.terms[key] = new
-            else:
-                bucket.terms.pop(key, None)
+            # exponents that reduce alike differ in this degree: no key repeats
+            by_degree.setdefault(degree, MultiPoly(self.nvars)).terms[tuple(reduced)] = coeff
         out = MultiPoly(self.nvars)
         power = MultiPoly.constant(self.nvars, 1)
         for degree in range(max(by_degree) + 1):
             if degree:
                 power = power * replacement
             bucket = by_degree.get(degree)
-            if bucket is not None and bucket.terms:
+            if bucket is not None:
                 out = out + bucket * power
         return out
 
@@ -165,11 +159,7 @@ class MultiPoly:
 
 
 def _check_chain_args(p: int, n: int, size_guard: int) -> None:
-    require_p(p)
-    if n < p + 1:
-        raise DomainError(
-            f"symbolic integration needs n >= p + 1 = {p + 1}, got {n}"
-        )
+    require_subset(p, n)
     if n > size_guard:
         raise ResourceLimitError(
             f"n = {n} exceeds the size guard {size_guard}; the term count "

@@ -542,6 +542,17 @@ def check_events_mutually_exclusive(seed: int) -> CheckResult:
     return _result("events_mutually_exclusive", bad)
 
 
+def _guarded(check, *args, name: str = "") -> list[CheckResult]:
+    """The check's results; a check that raises has failed, under its usual
+    name, so one crash cannot abort the suite or hide the other results."""
+    try:
+        result = check(*args)
+    except Exception as exc:
+        name = name or check.__name__.removeprefix("check_")
+        return [CheckResult(name, False, f"raised {type(exc).__name__}: {exc}")]
+    return result if isinstance(result, list) else [result]
+
+
 def run_suite(
     suite: str = "all",
     trials: int = 10**6,
@@ -553,11 +564,16 @@ def run_suite(
     results: list[CheckResult] = []
     if suite in ("all", "exact"):
         for check in EXACT_CHECKS:
-            results.append(check())
+            results += _guarded(check)
     if suite in ("all", "mc"):
-        results.append(check_predicate_scale_invariance(seed))
-        results.append(check_events_mutually_exclusive(seed + 1))
-        results.append(check_workers_bit_identical(min(trials, 10**6), seed))
-        results.append(check_exponential_rate_invariant(trials, seed))
-        results.extend(run_concordance(trials=trials, seed=seed, workers=workers))
+        # bad run arguments are a usage error, raised before any check runs;
+        # the concordance targets draw seeds seed .. seed + count - 1
+        count = sum(len(ns) for *_, ns in _CONCORDANCE_GRID)
+        montecarlo._check_run(trials, workers, seed)
+        montecarlo._check_run(trials, workers, seed + count - 1)
+        results += _guarded(check_predicate_scale_invariance, seed)
+        results += _guarded(check_events_mutually_exclusive, seed + 1)
+        results += _guarded(check_workers_bit_identical, min(trials, 10**6), seed)
+        results += _guarded(check_exponential_rate_invariant, trials, seed)
+        results += _guarded(run_concordance, trials, seed, workers, name="mc_concordance")
     return results

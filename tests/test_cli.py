@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from stickprob import closedform, constraints
 from stickprob.cli import cli
 from stickprob.constraints import m_constants
+from stickprob.verify import EXACT_CHECKS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -257,10 +259,51 @@ class TestVerify:
         assert res.exit_code == 0
         payload = json.loads(res.output)
         assert payload["passed"] is True
-        names = {check["name"] for check in payload["checks"]}
+        names = [check["name"] for check in payload["checks"]]
+        # a check that raises reports under its function's name, so each
+        # check's own result must carry that name too
+        assert names == [check.__name__.removeprefix("check_") for check in EXACT_CHECKS]
         assert "triple_derivation_of_m" in names
         assert "symbolic_integration_matches_closed_form" in names
         assert all(check["passed"] for check in payload["checks"])
+
+    def test_crashing_check_is_a_failed_check(self, runner, monkeypatch):
+        """A check that raises reports under its own name and verify exits 1
+        with its JSON, instead of aborting with a traceback."""
+        zero_first = lambda p, n: (0,) + m_constants(p, n)[1:]
+        monkeypatch.setattr(closedform, "m_constants", zero_first)
+        monkeypatch.setattr(constraints, "m_constants", zero_first)
+        constraints._bound_table.cache_clear()
+        try:
+            res = invoke(runner, "verify", "--suite", "exact")
+        finally:
+            constraints._bound_table.cache_clear()
+        assert res.exit_code == 1
+        payload = json.loads(res.output)
+        assert payload["passed"] is False
+        checks = {check["name"]: check for check in payload["checks"]}
+        assert len(checks) == len(EXACT_CHECKS)
+        crashed = checks["interval_telescoping_identity"]
+        assert crashed["detail"].startswith("raised ZeroDivisionError: ")
+        assert checks["t_matches_prefix_sums"]["passed"] is True
+
+    def test_bad_run_argument_is_a_usage_error(self, runner):
+        res = runner.invoke(cli, ["verify", "--suite", "mc", "--trials", "0"])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "trials must be >= 1" in res.output
+
+    def test_exact_suite_under_optimize(self):
+        """No exact check leans on an assert: python -O prints the same bytes."""
+        runs = [
+            subprocess.run(
+                [sys.executable, *flags, "-m", "stickprob.cli", "verify", "--suite", "exact"],
+                capture_output=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=300,
+            )
+            for flags in ([], ["-O"])
+        ]
+        assert [run.returncode for run in runs] == [0, 0], runs[1].stderr
+        assert runs[0].stdout == runs[1].stdout
 
     def test_mc_suite_small(self, runner):
         res = invoke(

@@ -5,6 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 from random import Random
 
+import numpy as np
 import pytest
 
 from stickprob import verify
@@ -23,7 +24,15 @@ from stickprob.constraints import (
     validate_prefix,
 )
 from stickprob.errors import DomainError, InfeasiblePrefixError
-from stickprob.montecarlo import MODELS
+from stickprob.montecarlo import (
+    MODELS,
+    RANDOM_SUBSET_POLYGON,
+    DistributionSpec,
+    EventSpec,
+    estimate,
+    random_subset_polygon,
+)
+from stickprob.oracle import symbolic_pn_pickup
 from stickprob.sequences import fib, fib_prefix_sum
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -44,6 +53,26 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 def test_rejects_p_below_two(call, p):
     with pytest.raises(DomainError, match="p must be >= 2"):
         call(p)
+
+
+_SUBSET_CALLS = {
+    "constraints": lambda: m_constants(3, 3),
+    "oracle": lambda: symbolic_pn_pickup(3, 3),
+    "random_subset_polygon": lambda: random_subset_polygon(
+        [0.1, 0.2, 0.3], 3, np.random.default_rng(0)
+    ),
+    "estimate": lambda: estimate(
+        EventSpec(RANDOM_SUBSET_POLYGON, 3), DistributionSpec.uniform01(), 3, 10, 0
+    ),
+}
+
+
+@pytest.mark.parametrize("site", _SUBSET_CALLS)
+def test_subset_rule_has_one_message(site):
+    """Every call site that needs p + 1 of the n sticks rejects n = p in the
+    same words."""
+    with pytest.raises(DomainError, match=r"^stick count n must be >= p \+ 1 = 4, got 3$"):
+        _SUBSET_CALLS[site]()
 
 
 class TestLinearForm:
