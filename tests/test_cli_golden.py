@@ -1,10 +1,11 @@
 """Every CLI path pinned byte for byte.
 
 One request per (command, event, model) path in JSON and CSV, the
-constants, a small ``verify --suite mc`` and the error paths.  Each pins
-the exit code and the sha256 of stdout; error paths print nothing on
-stdout.  The digests were recorded once and are never regenerated: a
-refactor of the CLI must leave every one of them unchanged.
+constants, the ``verify --suite exact`` report, a small ``verify --suite
+mc`` and the error paths.  Each pins the exit code and the sha256 of
+stdout; error paths print nothing on stdout.  The digests were recorded
+once and are never regenerated: a refactor of the CLI must leave every
+one of them unchanged.
 """
 
 import hashlib
@@ -97,6 +98,8 @@ GOLDEN = {
         (0, "1169cd3a863dffd90e73be5b61c2b575d7c1716efec6fd11fa28d93d1e81e9a8"),
     "verify --suite mc --trials 20000":
         (0, "1a351b758056460a7b474538a6c269fb2ee488ab5fd5d999e3f55bab3e86dd67"),
+    "verify --suite exact":
+        (0, "15be9383f761d49da007d2d4e173e5833c0bf4b2a0c1e69c3a25a4535d659079"),
     "compute pn --p 2":
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "compute pn --p 1 --n 4":

@@ -8,7 +8,7 @@ from random import Random
 import numpy as np
 import pytest
 
-from stickprob import verify
+from stickprob import constraints, verify
 from stickprob.constraints import (
     BOUND_MODELS,
     LinearForm,
@@ -354,6 +354,48 @@ class TestMaxMinIdentity:
             check_max_min_identity(
                 2, 4, (Fraction(1, 100), Fraction(1, 50), Fraction(1, 10), Fraction(1, 2))
             )
+
+
+
+def _raise_interior_m(m_constants):
+    def mutated(p, n):
+        m = list(m_constants(p, n))
+        if len(m) > 2:
+            m[1] += 1
+        return tuple(m)
+    return mutated
+
+
+def _raise_first_coefficient_of_stick_3(max_length_form):
+    def mutated(p, n, i, model="pickup"):
+        den, form = max_length_form(p, n, i, model)
+        if i == 3:
+            form = LinearForm(form.arity, (form.coeffs[0] + 1,) + form.coeffs[1:])
+        return den, form
+    return mutated
+
+
+class TestTelescopingCheckCatchesMutations:
+    """A wrong bound denominator or numerator coefficient makes the exact
+    suite's telescoping check fail, at the first prefix it reaches."""
+
+    @pytest.mark.parametrize(("name", "mutate", "detail"), [
+        ("m_constants", _raise_interior_m,
+         "l_2 = 2595/8192 outside [55/128, 73/256] (pickup, p=2, n=3)"),
+        ("max_length_form", _raise_first_coefficient_of_stick_3,
+         "l_3 = 757/1536 outside [59/96, 37/96] (pickup, p=2, n=4)"),
+    ])
+    def test_exact_suite_reports_the_mutation(self, monkeypatch, name, mutate, detail):
+        monkeypatch.setattr(constraints, name, mutate(getattr(constraints, name)))
+        constraints._bound_table.cache_clear()
+        try:
+            results = verify.run_suite("exact")
+        finally:
+            constraints._bound_table.cache_clear()
+        checks = {r.name: r for r in results}
+        failed = checks["interval_telescoping_identity"]
+        assert not failed.passed
+        assert failed.detail == f"raised InfeasiblePrefixError: {detail}"
 
 
 class TestFeasibleSampling:
