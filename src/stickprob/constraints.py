@@ -25,16 +25,27 @@ Three derivations of the same denominators live here on purpose:
 * the inverse-Jacobian row recurrence (``m_constants_via_jacobian``).
 
 Their exact agreement is a core check of the verification suite.
-``bounds`` mixes the closed-form denominators with the vector-route
-numerator forms, per (p, n, model) in ``BOUND_MODELS``, and reads exact
-lengths only: a float raises rather than give an inexact bound.
+The bound table of each (p, n, model) in ``BOUND_MODELS`` mixes the
+closed-form denominators with the vector-route numerator forms.  One
+integer core evaluates it: a prefix becomes integer numerators over one
+common denominator den, and the interval of the next stick is
+[lo / den, top / (m * den)] with lo and top plain integer dot products
+over the forms' coefficients.  Sampling, validation and the telescoping
+check compare and draw on those integers and build Fractions only for
+what they return or report.  ``bounds`` is the Fraction view of the same
+core and reads exact lengths only: a float raises rather than give an
+inexact bound.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from operator import add, mul
 from random import Random
 from typing import Sequence, Union
 
@@ -131,7 +142,22 @@ def min_length_form(p: int, i: int) -> LinearForm:
     return LinearForm(i - 1, tuple(coeffs))
 
 
-@lru_cache(maxsize=None)
+# (p, width) -> ([e_{2-width}, ..., e_K], [S_{2-width}, ..., S_K]) with
+# S_k = e_1 + ... + e_k (zero for k <= 0), extended under _CHAIN_LOCK like
+# the step-Fibonacci tables; S_k lands before e_k
+_CHAINS: dict[tuple[int, int], tuple[list, list]] = {}
+_CHAIN_LOCK = threading.Lock()
+
+
+def _chain_start(p: int, width: int) -> tuple[list, list]:
+    low = 2 - width
+    chain = [tuple(int(s == 1 - j) for s in range(width)) for j in range(low, 2)]
+    chain += [chain[-1]] * (p - width)
+    sums = [(0,) * width] * (1 - low)
+    sums += accumulate(chain[1 - low :], lambda total, e: tuple(map(add, total, e)))
+    return chain, sums
+
+
 def _chain(p: int, width: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(e_k, e_1 + ... + e_k): the chain of coefficient vectors over a
     window of ``width`` <= p consecutive lengths, and its running sum.
@@ -141,16 +167,22 @@ def _chain(p: int, width: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]
     window cut short (width < p, the sticks before the p-th) repeats
     (1, 0, ..., 0) for e_2 .. e_{p+1-width}, because the sticks in between
     are bound by ordering only.  Every later e_k is the sum of the p vectors
-    before it, mirroring the recurrence of the lengths themselves.  Built
-    by a loop from the start, so no index is too deep to reach.
+    before it, mirroring the recurrence of the lengths themselves.  One
+    chain per (p, width) grows by a loop as far as the deepest k asked
+    for, so no index is too deep to reach and each vector is built once.
     """
-    low = 2 - width
-    chain = [[int(s == 1 - j) for s in range(width)] for j in range(low, 2)]
-    chain += [chain[-1]] * (p - width)
-    while len(chain) <= k - low:
-        chain.append(list(map(sum, zip(*chain[-p:]))))
-    summed = chain[1 - low : k - low + 1]  # e_1 .. e_k
-    return tuple(chain[k - low]), tuple(sum(e[s] for e in summed) for s in range(width))
+    pos = k - 2 + width
+    entry = _CHAINS.get((p, width))
+    if entry is None or pos >= len(entry[0]):
+        with _CHAIN_LOCK:
+            entry = _CHAINS.setdefault((p, width), entry or _chain_start(p, width))
+            chain, sums = entry
+            while pos >= len(chain):
+                e = tuple(map(sum, zip(*chain[-p:])))
+                sums.append(tuple(map(add, sums[-1], e)))
+                chain.append(e)
+    chain, sums = entry
+    return chain[pos], sums[pos]
 
 
 def e_vector(p: int, k: int) -> tuple[int, ...]:
@@ -262,34 +294,65 @@ def _bound_table(
     return mins, denominators, numerators + (LinearForm.zero(n - 1),)
 
 
+def _interval(table: tuple, nums: Sequence[int], den: int) -> tuple[int, int, int]:
+    """(lo, top, m) for stick len(nums)+1 of a bound table, given the
+    lengths before it as integer numerators over the common denominator
+    den: its interval is [lo / den, top / (m * den)]."""
+    mins, denominators, numerators = table
+    i = len(nums)
+    lo = sum(map(mul, mins[i].coeffs, nums))
+    top = den - sum(map(mul, numerators[i].coeffs, nums))
+    return lo, top, denominators[i]
+
+
+def _over_common_denominator(vals: Sequence[Rational]) -> tuple[list[int], int]:
+    """The exact lengths as integer numerators over their least common
+    denominator."""
+    den = math.lcm(*(x.denominator for x in vals))
+    return [x.numerator * (den // x.denominator) for x in vals], den
+
+
 def bounds(
     p: int, n: int, prefix: Sequence[Rational], model: str = "pickup"
 ) -> tuple[Fraction, Fraction]:
     """The [min, max] interval for stick len(prefix)+1 given the exact
     lengths of the sticks before it."""
-    mins, denominators, numerators = _bound_table(p, n, model)
+    table = _bound_table(p, n, model)
     i = len(prefix) + 1
     if not 1 <= i <= n:
         raise DomainError(f"prefix selects stick {i}, valid range 1..{n}")
-    lo = mins[i - 1].evaluate(prefix)
-    return lo, (1 - numerators[i - 1].evaluate(prefix)) / denominators[i - 1]
+    if any(isinstance(x, float) for x in prefix):
+        raise DomainError("lengths must be Fractions or ints, not floats")
+    nums, den = _over_common_denominator(prefix)
+    lo, top, m = _interval(table, nums, den)
+    return Fraction(lo, den), Fraction(top, m * den)
+
+
+def _validated(p: int, n: int, prefix: Sequence[Rational], model: str) -> tuple:
+    """(Fractions, bound table, numerators, den, intervals) of a prefix
+    whose lengths l_1..l_k each sit inside their bound interval."""
+    table = _bound_table(p, n, model)  # rejects a bad (p, n, model) for any prefix
+    vals = tuple(Fraction(x) for x in prefix)
+    if len(vals) > n:
+        raise DomainError(f"prefix longer than n = {n}")
+    nums, den = _over_common_denominator(vals)
+    intervals = []
+    for j, x in enumerate(nums):
+        lo, top, m = _interval(table, nums[:j], den)
+        if not (lo <= x and m * x <= top):
+            raise InfeasiblePrefixError(
+                f"l_{j + 1} = {vals[j]} outside [{Fraction(lo, den)}, "
+                f"{Fraction(top, m * den)}] ({model}, p={p}, n={n})"
+            )
+        intervals.append((lo, top, m))
+    return vals, table, nums, den, intervals
 
 
 def validate_prefix(
     p: int, n: int, prefix: Sequence[Rational], model: str = "pickup"
 ) -> tuple[Fraction, ...]:
     """Check l_1..l_k each sit inside their bound interval; return Fractions."""
-    _bound_table(p, n, model)  # rejects a bad (p, n, model) for any prefix
-    vals = tuple(Fraction(x) for x in prefix)
-    if len(vals) > n:
-        raise DomainError(f"prefix longer than n = {n}")
-    for j, x in enumerate(vals):
-        lo, hi = bounds(p, n, vals[:j], model)
-        if not lo <= x <= hi:
-            raise InfeasiblePrefixError(
-                f"l_{j + 1} = {x} outside [{lo}, {hi}] ({model}, p={p}, n={n})"
-            )
-    return vals
+    return _validated(p, n, prefix, model)[0]
 
 
 def check_max_min_identity(
@@ -309,20 +372,22 @@ def check_max_min_identity(
     derivation actually equate.  Valid for i up to n in the pick-up model
     and up to n-1 in the broken model (the last broken piece is determined
     by the others, so its interval does not telescope).
+
+    Both sides are compared multiplied through by the prefix's common
+    denominator den, as the integers top_i - m_i * lo_i and
+    top_{i-1} - m_{i-1} * l_{i-1} * den, so the test stays exact; the
+    interval of stick i-1 is the one validation of the prefix computed.
     """
-    vals = validate_prefix(p, n, lengths_prefix, model)
+    vals, table, nums, den, intervals = _validated(p, n, lengths_prefix, model)
     i = len(vals) + 1
     top = n if model == "pickup" else n - 1
     if not 2 <= i <= top:
         raise DomainError(
             f"identity covers prefixes of 1..{top - 1} lengths, got {len(vals)}"
         )
-    lo_i, hi_i = bounds(p, n, vals, model)
-    _, hi_prev = bounds(p, n, vals[:-1], model)
-    denominators = _bound_table(p, n, model)[1]
-    lhs = denominators[i - 1] * (hi_i - lo_i)
-    rhs = denominators[i - 2] * (hi_prev - vals[-1])
-    return lhs == rhs
+    lo_i, top_i, m_i = _interval(table, nums, den)
+    _, top_prev, m_prev = intervals[-1]
+    return top_i - m_i * lo_i == top_prev - m_prev * nums[-1]
 
 
 def sample_feasible_prefix(
@@ -337,15 +402,22 @@ def sample_feasible_prefix(
     rational grid over its own [min, max] interval.
 
     Feasible by construction; endpoints are included deliberately so the
-    degenerate pinned configurations get exercised too.
+    degenerate pinned configurations get exercised too.  The draw
+    lo + (hi - lo) * r / max_denominator is made on integers over a running
+    common denominator, which grows by m * max_denominator per stick.
     """
     if not 1 <= k <= n - 1:
         raise DomainError(f"prefix length must be 1..{n - 1}, got {k}")
     if max_denominator < 1:
         raise DomainError("max_denominator must be >= 1")
-    prefix: list[Fraction] = []
+    table = _bound_table(p, n, model)
+    nums: list[int] = []
+    den = 1
     for _ in range(k):
-        lo, hi = bounds(p, n, prefix, model)
-        t = Fraction(rng.randrange(max_denominator + 1), max_denominator)
-        prefix.append(lo + (hi - lo) * t)
-    return tuple(prefix)
+        lo, top, m = _interval(table, nums, den)
+        r = rng.randrange(max_denominator + 1)
+        scale = m * max_denominator
+        nums = [x * scale for x in nums]
+        nums.append(lo * scale + (top - m * lo) * r)
+        den *= scale
+    return tuple(Fraction(x, den) for x in nums)

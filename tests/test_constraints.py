@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -357,6 +358,38 @@ class TestMaxMinIdentity:
 
 
 
+class TestIntegerCore:
+    """The integer core agrees with evaluating the bound table's forms on
+    Fractions, the reference route through ``LinearForm.evaluate``."""
+
+    @pytest.mark.parametrize("model", BOUND_MODELS)
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_matches_fraction_evaluation(self, p, model):
+        rng = Random(4000 + p)
+        for n in range(p + 1, 9):
+            table = constraints._bound_table(p, n, model)
+            mins, denominators, numerators = table
+            for k in range(1, n):
+                for grid in (1, 7, 64):
+                    for _ in range(3):
+                        prefix = sample_feasible_prefix(p, n, k, rng, model, grid)
+                        for j in range(k + 1):
+                            head = prefix[:j]
+                            den = math.lcm(*(x.denominator for x in head))
+                            nums = [x.numerator * (den // x.denominator) for x in head]
+                            lo, top, m = constraints._interval(table, nums, den)
+                            hi = (1 - numerators[j].evaluate(head)) / denominators[j]
+                            assert m == denominators[j]
+                            assert Fraction(lo, den) == mins[j].evaluate(head)
+                            assert Fraction(top, m * den) == hi
+                            assert bounds(p, n, head, model) == (Fraction(lo, den), hi)
+
+    def test_float_raises_even_where_no_form_reads_it(self):
+        # stick 4 of (2, 5) reads only l_2 and l_3
+        with pytest.raises(DomainError, match="not floats"):
+            bounds(2, 5, (0.1, Fraction(1, 10), Fraction(1, 5)))
+
+
 def _raise_interior_m(m_constants):
     def mutated(p, n):
         m = list(m_constants(p, n))
@@ -384,7 +417,7 @@ class TestTelescopingCheckCatchesMutations:
          "l_2 = 2595/8192 outside [55/128, 73/256] (pickup, p=2, n=3)"),
         ("max_length_form", _raise_first_coefficient_of_stick_3,
          "l_3 = 757/1536 outside [59/96, 37/96] (pickup, p=2, n=4)"),
-    ])
+    ], ids=["interior_m", "stick_3_coefficient"])
     def test_exact_suite_reports_the_mutation(self, monkeypatch, name, mutate, detail):
         monkeypatch.setattr(constraints, name, mutate(getattr(constraints, name)))
         constraints._bound_table.cache_clear()
