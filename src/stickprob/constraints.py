@@ -144,7 +144,8 @@ def min_length_form(p: int, i: int) -> LinearForm:
 
 # (p, width) -> ([e_{2-width}, ..., e_K], [S_{2-width}, ..., S_K]) with
 # S_k = e_1 + ... + e_k (zero for k <= 0), extended under _CHAIN_LOCK like
-# the step-Fibonacci tables; S_k lands before e_k
+# the step-Fibonacci tables; S_k lands before e_k, so a reader without the
+# lock that finds e_k also finds S_k
 _CHAINS: dict[tuple[int, int], tuple[list, list]] = {}
 _CHAIN_LOCK = threading.Lock()
 
