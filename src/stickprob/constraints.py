@@ -40,12 +40,10 @@ inexact bound.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from operator import add, mul
+from operator import mul
 from random import Random
 from typing import Sequence, Union
 
@@ -142,23 +140,7 @@ def min_length_form(p: int, i: int) -> LinearForm:
     return LinearForm(i - 1, tuple(coeffs))
 
 
-# (p, width) -> ([e_{2-width}, ..., e_K], [S_{2-width}, ..., S_K]) with
-# S_k = e_1 + ... + e_k (zero for k <= 0), extended under _CHAIN_LOCK like
-# the step-Fibonacci tables; S_k lands before e_k, so a reader without the
-# lock that finds e_k also finds S_k
-_CHAINS: dict[tuple[int, int], tuple[list, list]] = {}
-_CHAIN_LOCK = threading.Lock()
-
-
-def _chain_start(p: int, width: int) -> tuple[list, list]:
-    low = 2 - width
-    chain = [tuple(int(s == 1 - j) for s in range(width)) for j in range(low, 2)]
-    chain += [chain[-1]] * (p - width)
-    sums = [(0,) * width] * (1 - low)
-    sums += accumulate(chain[1 - low :], lambda total, e: tuple(map(add, total, e)))
-    return chain, sums
-
-
+@lru_cache(maxsize=None)
 def _chain(p: int, width: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(e_k, e_1 + ... + e_k): the chain of coefficient vectors over a
     window of ``width`` <= p consecutive lengths, and its running sum.
@@ -168,22 +150,16 @@ def _chain(p: int, width: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]
     window cut short (width < p, the sticks before the p-th) repeats
     (1, 0, ..., 0) for e_2 .. e_{p+1-width}, because the sticks in between
     are bound by ordering only.  Every later e_k is the sum of the p vectors
-    before it, mirroring the recurrence of the lengths themselves.  One
-    chain per (p, width) grows by a loop as far as the deepest k asked
-    for, so no index is too deep to reach and each vector is built once.
+    before it, mirroring the recurrence of the lengths themselves.  Built
+    by a loop from the start, so no index is too deep to reach.
     """
-    pos = k - 2 + width
-    entry = _CHAINS.get((p, width))
-    if entry is None or pos >= len(entry[0]):
-        with _CHAIN_LOCK:
-            entry = _CHAINS.setdefault((p, width), entry or _chain_start(p, width))
-            chain, sums = entry
-            while pos >= len(chain):
-                e = tuple(map(sum, zip(*chain[-p:])))
-                sums.append(tuple(map(add, sums[-1], e)))
-                chain.append(e)
-    chain, sums = entry
-    return chain[pos], sums[pos]
+    low = 2 - width
+    chain = [[int(s == 1 - j) for s in range(width)] for j in range(low, 2)]
+    chain += [chain[-1]] * (p - width)
+    while len(chain) <= k - low:
+        chain.append(list(map(sum, zip(*chain[-p:]))))
+    summed = chain[1 - low : k - low + 1]  # e_1 .. e_k
+    return tuple(chain[k - low]), tuple(sum(e[s] for e in summed) for s in range(width))
 
 
 def e_vector(p: int, k: int) -> tuple[int, ...]:
@@ -329,15 +305,15 @@ def bounds(
     return Fraction(lo, den), Fraction(top, m * den)
 
 
-def _validated(p: int, n: int, prefix: Sequence[Rational], model: str) -> tuple:
-    """(Fractions, bound table, numerators, den, intervals) of a prefix
-    whose lengths l_1..l_k each sit inside their bound interval."""
+def validate_prefix(
+    p: int, n: int, prefix: Sequence[Rational], model: str = "pickup"
+) -> tuple[Fraction, ...]:
+    """Check l_1..l_k each sit inside their bound interval; return Fractions."""
     table = _bound_table(p, n, model)  # rejects a bad (p, n, model) for any prefix
     vals = tuple(Fraction(x) for x in prefix)
     if len(vals) > n:
         raise DomainError(f"prefix longer than n = {n}")
     nums, den = _over_common_denominator(vals)
-    intervals = []
     for j, x in enumerate(nums):
         lo, top, m = _interval(table, nums[:j], den)
         if not (lo <= x and m * x <= top):
@@ -345,15 +321,7 @@ def _validated(p: int, n: int, prefix: Sequence[Rational], model: str) -> tuple:
                 f"l_{j + 1} = {vals[j]} outside [{Fraction(lo, den)}, "
                 f"{Fraction(top, m * den)}] ({model}, p={p}, n={n})"
             )
-        intervals.append((lo, top, m))
-    return vals, table, nums, den, intervals
-
-
-def validate_prefix(
-    p: int, n: int, prefix: Sequence[Rational], model: str = "pickup"
-) -> tuple[Fraction, ...]:
-    """Check l_1..l_k each sit inside their bound interval; return Fractions."""
-    return _validated(p, n, prefix, model)[0]
+    return vals
 
 
 def check_max_min_identity(
@@ -376,18 +344,19 @@ def check_max_min_identity(
 
     Both sides are compared multiplied through by the prefix's common
     denominator den, as the integers top_i - m_i * lo_i and
-    top_{i-1} - m_{i-1} * l_{i-1} * den, so the test stays exact; the
-    interval of stick i-1 is the one validation of the prefix computed.
+    top_{i-1} - m_{i-1} * l_{i-1} * den, so the test stays exact.
     """
-    vals, table, nums, den, intervals = _validated(p, n, lengths_prefix, model)
+    vals = validate_prefix(p, n, lengths_prefix, model)
     i = len(vals) + 1
     top = n if model == "pickup" else n - 1
     if not 2 <= i <= top:
         raise DomainError(
             f"identity covers prefixes of 1..{top - 1} lengths, got {len(vals)}"
         )
+    table = _bound_table(p, n, model)
+    nums, den = _over_common_denominator(vals)
     lo_i, top_i, m_i = _interval(table, nums, den)
-    _, top_prev, m_prev = intervals[-1]
+    _, top_prev, m_prev = _interval(table, nums[:-1], den)
     return top_i - m_i * lo_i == top_prev - m_prev * nums[-1]
 
 

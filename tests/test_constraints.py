@@ -1,8 +1,6 @@
-import math
 import os
 import subprocess
 import sys
-import threading
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -155,49 +153,6 @@ class TestEVector:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "True"
-
-
-def _chain_reference(p, width, k):
-    """(e_k, e_1 + ... + e_k) rebuilt from the unit vectors for this k alone."""
-    low = 2 - width
-    chain = [[int(s == 1 - j) for s in range(width)] for j in range(low, 2)]
-    chain += [chain[-1]] * (p - width)
-    while len(chain) <= k - low:
-        chain.append(list(map(sum, zip(*chain[-p:]))))
-    summed = chain[1 - low : k - low + 1]
-    return tuple(chain[k - low]), tuple(sum(e[s] for e in summed) for s in range(width))
-
-
-def test_four_threads_grow_fresh_chains_alike(monkeypatch):
-    monkeypatch.setattr(constraints, "_CHAINS", {})
-    cases = [
-        (p, width, k)
-        for p in (2, 3, 4)
-        for width in range(1, p + 1)
-        for k in range(2 - width, 80)
-    ]
-    start = threading.Barrier(4)
-    results = [None] * 4
-
-    def worker(slot):
-        order = cases[:]
-        Random(slot).shuffle(order)
-        start.wait(timeout=10)
-        results[slot] = {case: constraints._chain(*case) for case in order}
-
-    threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert all(r == results[0] for r in results)
-    assert results[0] == {case: _chain_reference(*case) for case in cases}
 
 
 class TestMaxLengthForm:
@@ -401,7 +356,6 @@ class TestMaxMinIdentity:
             )
 
 
-
 class TestIntegerCore:
     """The integer core agrees with evaluating the bound table's forms on
     Fractions, the reference route through ``LinearForm.evaluate``."""
@@ -419,8 +373,7 @@ class TestIntegerCore:
                         prefix = sample_feasible_prefix(p, n, k, rng, model, grid)
                         for j in range(k + 1):
                             head = prefix[:j]
-                            den = math.lcm(*(x.denominator for x in head))
-                            nums = [x.numerator * (den // x.denominator) for x in head]
+                            nums, den = constraints._over_common_denominator(head)
                             lo, top, m = constraints._interval(table, nums, den)
                             hi = (1 - numerators[j].evaluate(head)) / denominators[j]
                             assert m == denominators[j]
