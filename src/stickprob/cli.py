@@ -16,7 +16,8 @@ Usage sketches::
 Exact values cross this boundary as num/den strings or {"num", "den"}
 objects, never floats.  Reports are JSON on stdout (CSV for tables on
 request).  Exit status: 0 success, 1 verify found a failing identity,
-2 usage error (an input outside a formula's domain or its size guards), 3
+2 usage error (an input outside a formula's domain or its size guards, or
+output holding an integer past CPython's int->str digit limit), 3
 no closed form exists for the request: pa beyond quadrilaterals, or an
 (event, model) pair without one, such as pa or pr under any model but pickup.
 The exit-3 message names the Monte Carlo fallback, ``simulate --event E
@@ -38,7 +39,7 @@ from fractions import Fraction
 import click
 
 from .closedform import ExactProb, closed_form, is_vacuous
-from .errors import DomainError, ResourceLimitError, UnsupportedFormulaError
+from .errors import DomainError, ResourceLimitError, UnsupportedFormulaError, require_truncation
 from .montecarlo import EVENTS, MODELS, DistributionSpec, EventSpec, estimate
 from .constraints import BOUND_MODELS, LinearForm, m_constants, max_length_form, s_constants
 from .sequences import fib
@@ -87,10 +88,7 @@ def _truncation(model: str, a: str | None) -> Fraction | None:
         return None
     if a is None:
         raise click.UsageError("model truncated requires --a")
-    try:
-        return Fraction(a)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise click.UsageError(f"--a expects a num/den rational, got {a!r}") from exc
+    return require_truncation(a)
 
 
 def _require_n(event: str, n: int | str | None) -> None:
@@ -116,9 +114,18 @@ def _form_payload(form: LinearForm) -> dict:
     }
 
 
+def _oversized(exc: ValueError) -> ResourceLimitError:
+    """CPython's int->str digit limit, the only ValueError rendering can raise."""
+    return ResourceLimitError(f"output too large to print: {exc}")
+
+
 def _emit(command: str, inputs: dict, **body) -> None:
     payload = {"schema_version": SCHEMA_VERSION, "command": command, "inputs": inputs, **body}
-    click.echo(json.dumps(payload, indent=2))
+    try:
+        text = json.dumps(payload, indent=2)
+    except ValueError as exc:
+        raise _oversized(exc) from exc
+    click.echo(text)
 
 
 class _Cli(click.Group):
@@ -208,7 +215,7 @@ def simulate(event: str, model: str, p: int, n: int, trials: int, seed: int,
     a_value = _truncation(model, a)
     if rate is not None and model != "exponential":
         raise click.UsageError("--rate only applies to the exponential model")
-    dist = DistributionSpec(model, a=float(a_value or 0), rate=1.0 if rate is None else rate)
+    dist = DistributionSpec(model, a=a_value or 0, rate=1.0 if rate is None else rate)
     mc = estimate(EventSpec(EVENTS[event], p), dist, n, trials, seed, workers)
 
     try:
@@ -276,13 +283,16 @@ def table(problem: str, model: str, p_range: str, n_range: str | None,
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["p", "n", "exact", "decimal"])
-        for cell in cells:
-            writer.writerow([
-                cell["p"],
-                "" if cell["n"] is None else cell["n"],
-                f"{cell['exact']['num']}/{cell['exact']['den']}",
-                cell["decimal"],
-            ])
+        try:
+            for cell in cells:
+                writer.writerow([
+                    cell["p"],
+                    "" if cell["n"] is None else cell["n"],
+                    f"{cell['exact']['num']}/{cell['exact']['den']}",
+                    cell["decimal"],
+                ])
+        except ValueError as exc:
+            raise _oversized(exc) from exc
         click.echo(buf.getvalue(), nl=False)
         return
     _emit("table", {
@@ -342,11 +352,15 @@ def constants_s(p: int, n: int) -> None:
 def constants_emax(p: int, n: int, i: int, model: str) -> None:
     """The upper-bound data for one stick: denominator and numerator form."""
     den, form = max_length_form(p, n, i, model)
-    _emit("constants", {"kind": "emax", "p": p, "n": n, "i": i, "model": model}, result={
-        "denominator": den,
-        "numerator_form": _form_payload(form),
-        "text": f"l{i}_max = (1 - ({form})) / {den}",
-    })
+    try:
+        result = {
+            "denominator": den,
+            "numerator_form": _form_payload(form),
+            "text": f"l{i}_max = (1 - ({form})) / {den}",
+        }
+    except ValueError as exc:
+        raise _oversized(exc) from exc
+    _emit("constants", {"kind": "emax", "p": p, "n": n, "i": i, "model": model}, result=result)
 
 
 # ---------------------------------------------------------------------------

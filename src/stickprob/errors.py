@@ -45,8 +45,11 @@ def require_subset(p: int, n: int) -> None:
 
 
 def require_truncation(a: "Fraction | int | str") -> Fraction:
-    """The truncation point a as a Fraction, rejected outside [0, 1)."""
-    a = Fraction(a)
+    """The truncation point a as a Fraction; DomainError unless a rational in [0, 1)."""
+    try:
+        a = Fraction(a)
+    except (TypeError, ValueError, ArithmeticError) as exc:  # None, "abc", nan, inf
+        raise DomainError(f"truncation point a must be rational, got {a!r}") from exc
     if not 0 <= a < 1:
         raise DomainError(f"truncation point a must be in [0, 1), got {a}")
     return a

@@ -39,6 +39,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -82,7 +83,8 @@ class DistributionSpec:
     ``rate`` is the ``exponential`` model's rate, a finite number in
     [1e-280, 1e280]: the positive lengths -log1p(-u) / rate then lie in
     [2**-53, 53 ln 2] / rate, so every length, and every sum of fewer than
-    2**63 of them, is a normal float.
+    2**63 of them, is a normal float.  Both take any real number, a
+    ``Fraction`` included, and are stored as floats.
     """
 
     kind: str
@@ -92,6 +94,15 @@ class DistributionSpec:
     def __post_init__(self) -> None:
         if self.kind not in MODELS:
             raise DomainError(f"unknown sampling model {self.kind!r}")
+        for name in ("a", "rate"):
+            value = getattr(self, name)
+            if not isinstance(value, Real):
+                raise DomainError(f"{name} must be a real number, got {value!r}")
+            try:
+                value = float(value)
+            except OverflowError:  # an infinity, for the range checks below
+                value = math.inf if value > 0 else -math.inf
+            object.__setattr__(self, name, value)
         if self.kind == "truncated" and not 0.0 <= self.a < 1.0:
             raise DomainError(f"truncation point must lie in [0, 1), got {self.a}")
         if self.kind == "exponential" and not 1e-280 <= self.rate <= 1e280:
@@ -103,11 +114,11 @@ class DistributionSpec:
 
     @classmethod
     def uniform_truncated(cls, a: float) -> "DistributionSpec":
-        return cls("truncated", a=float(a))
+        return cls("truncated", a=a)
 
     @classmethod
     def exponential(cls, rate: float = 1.0) -> "DistributionSpec":
-        return cls("exponential", rate=float(rate))
+        return cls("exponential", rate=rate)
 
     @classmethod
     def broken_stick(cls) -> "DistributionSpec":

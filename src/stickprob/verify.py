@@ -3,9 +3,9 @@
 Two suites: ``exact`` runs every identity that must hold with zero
 tolerance (different derivations of the same constants, closed forms
 against the symbolic integrator, predicate algebra), and ``mc`` shakes
-every closed form against seeded Monte Carlo at 4 standard errors.  The
-CLI ``verify`` command renders the results as JSON and exits nonzero if
-anything failed.
+each (event, model, p, n) cell of one grid of closed forms against seeded
+Monte Carlo, cell k on seed + k.  The CLI ``verify`` command renders the
+results as JSON and exits nonzero if anything failed.
 """
 
 from __future__ import annotations
@@ -48,8 +48,6 @@ from .sequences import fib, fib_prefix_sum, t_value
 
 __all__ = [
     "CheckResult",
-    "ConcordanceTarget",
-    "concordance_targets",
     "run_concordance",
     "run_suite",
     "EXACT_CHECKS",
@@ -401,15 +399,6 @@ EXACT_CHECKS = (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConcordanceTarget:
-    label: str
-    event: EventSpec
-    dist: DistributionSpec
-    n: int
-    exact: Fraction
-
-
 # (event, model, p, n values) shaken statistically; pr is independent of n
 _CONCORDANCE_GRID = (
     ("pn", "pickup", 2, range(3, 8)),
@@ -422,27 +411,11 @@ _CONCORDANCE_GRID = (
     ("pr", "pickup", 2, (6,)),
     ("pr", "pickup", 3, (6,)),
 )
+_CONCORDANCE_CELLS = tuple(
+    (event, model, p, n) for event, model, p, ns in _CONCORDANCE_GRID for n in ns
+)
 _CONCORDANCE_TRUNCATION = Fraction(1, 10)
 _RETRY_FACTOR = 10
-
-
-def concordance_targets() -> tuple[ConcordanceTarget, ...]:
-    """Every closed form worth shaking statistically, with its exact value."""
-    targets = []
-    for event, model, p, ns in _CONCORDANCE_GRID:
-        a = _CONCORDANCE_TRUNCATION if model == "truncated" else None
-        dist = DistributionSpec(model, a=float(a or 0))
-        form = closed_form(event, model)
-        for n in ns:
-            label = f"{event}-{model}-p{p}"
-            if event != "pr":
-                label += f"-n{n}"
-            if a is not None:
-                label += f"-a{a}"
-            targets.append(ConcordanceTarget(
-                label, EventSpec(EVENTS[event], p), dist, n, form(p, n, a).fraction
-            ))
-    return tuple(targets)
 
 
 def run_concordance(
@@ -450,39 +423,37 @@ def run_concordance(
     seed: int = MC_BASE_SEED,
     workers: int = 1,
 ) -> list[CheckResult]:
-    """Compare every target against its closed form at 4 standard errors.
+    """Compare each cell's estimate (cell k on seed + k) with its closed form.
 
-    A single miss is rerun once at _RETRY_FACTOR times the trials before it
-    counts as a failure; a genuine defect will not survive the tighter
-    interval, while an unlucky draw almost always will.
+    A miss beyond 4 standard errors is rerun once at _RETRY_FACTOR times the
+    trials before it counts as a failure; a genuine defect will not survive
+    the tighter interval, while an unlucky draw almost always will.
     """
     results = []
-    for offset, target in enumerate(concordance_targets()):
-        est = estimate(
-            target.event, target.dist, target.n, trials, seed + offset, workers
-        )
-        diff = abs(est.p_hat - float(target.exact))
-        retried = False
-        if diff > 4 * est.std_err:
-            est = estimate(
-                target.event,
-                target.dist,
-                target.n,
-                trials * _RETRY_FACTOR,
-                seed + offset,
-                workers,
-            )
-            diff = abs(est.p_hat - float(target.exact))
-            retried = True
+    for k, (event, model, p, n) in enumerate(_CONCORDANCE_CELLS):
+        a = _CONCORDANCE_TRUNCATION if model == "truncated" else None
+        label = f"{event}-{model}-p{p}"
+        if event != "pr":
+            label += f"-n{n}"
+        if a is not None:
+            label += f"-a{a}"
+        event_spec = EventSpec(EVENTS[event], p)
+        dist = DistributionSpec(model, a=a or 0)
+        exact = float(closed_form(event, model)(p, n, a))
+        for runs in (trials, trials * _RETRY_FACTOR):
+            est = estimate(event_spec, dist, n, runs, seed + k, workers)
+            diff = abs(est.p_hat - exact)
+            if diff <= 4 * est.std_err:
+                break
         passed = diff <= 4 * est.std_err
         z = diff / est.std_err if est.std_err else float(diff > 0) * float("inf")
         detail = (
-            f"p_hat={est.p_hat:.6f} exact={float(target.exact):.6f} "
+            f"p_hat={est.p_hat:.6f} exact={exact:.6f} "
             f"z={z:.2f} trials={est.trials}"
         )
-        if retried:
+        if runs != trials:
             detail += " (retried)"
-        results.append(CheckResult(f"mc_concordance[{target.label}]", passed, detail))
+        results.append(CheckResult(f"mc_concordance[{label}]", passed, detail))
     return results
 
 
@@ -567,10 +538,9 @@ def run_suite(
             results += _guarded(check)
     if suite in ("all", "mc"):
         # bad run arguments are a usage error, raised before any check runs;
-        # the concordance targets draw seeds seed .. seed + count - 1
-        count = sum(len(ns) for *_, ns in _CONCORDANCE_GRID)
+        # the concordance cells draw seeds seed .. seed + len(cells) - 1
         montecarlo._check_run(trials, workers, seed)
-        montecarlo._check_run(trials, workers, seed + count - 1)
+        montecarlo._check_run(trials, workers, seed + len(_CONCORDANCE_CELLS) - 1)
         results += _guarded(check_predicate_scale_invariance, seed)
         results += _guarded(check_events_mutually_exclusive, seed + 1)
         results += _guarded(check_workers_bit_identical, min(trials, 10**6), seed)

@@ -1,9 +1,11 @@
 """The parts of the package that the benchmark under ``perfbench/`` relies on.
 
-perfbench's tracer looks up every name in each module's ``__all__``, and its
-mutation tests patch the program at fixed anchor strings.  A stale export or
-a moved anchor breaks benchmark runs, so both are checked here, reading the
-anchors from perfbench's own test module rather than copying them.  An
+perfbench's tracer looks up every name in each module's ``__all__``, its
+mutation tests patch the program at fixed anchor strings, and its scripts
+import names from the package and read attributes off them.  A stale export,
+a moved anchor or a deleted name breaks benchmark runs, so all three are
+checked here, reading the anchors from perfbench's own test module and the
+names from perfbench's sources rather than copying them.  An
 ``assert`` in the package must be such an anchor: cross-route checks belong
 in ``verify`` and the tests, which ``python -O`` does not strip.  The
 committed campaign records, ``BENCH_*.json`` at the root, are checked to
@@ -12,6 +14,7 @@ name only what ``BENCHMARK.json`` declares, so that two of them compare.
 
 import ast
 import importlib
+import inspect
 import json
 import pkgutil
 from pathlib import Path
@@ -40,11 +43,59 @@ def _mutations() -> dict:
 MUTATIONS = _mutations()
 
 
+def _perfbench_references() -> list[str]:
+    """``file:dotted.name`` for every name a perfbench script imports from
+    stickprob, and every attribute it names on one.  Scopes are not told
+    apart, so a name counts as imported throughout its file."""
+    refs = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = {}  # local name -> the dotted stickprob name it stands for
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                if node.module.split(".")[0] == "stickprob":
+                    for alias in node.names:
+                        bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "stickprob":
+                        refs.add(f"{path.name}:{alias.name}")
+                        if alias.asname:
+                            bound[alias.asname] = alias.name
+                        else:
+                            bound["stickprob"] = "stickprob"
+        refs.update(f"{path.name}:{dotted}" for dotted in bound.values())
+        refs.update(
+            f"{path.name}:{bound[node.value.id]}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in bound
+        )
+    return sorted(refs)
+
+
+def _resolve(dotted: str) -> None:
+    """Look a dotted name up, importing submodules on the way; raise if
+    any part of it is missing."""
+    head, *rest = dotted.split(".")
+    obj = importlib.import_module(head)
+    for part in rest:
+        if inspect.ismodule(obj) and not hasattr(obj, part):
+            importlib.import_module(f"{obj.__name__}.{part}")
+        obj = getattr(obj, part)
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
     assert not missing
+
+
+@pytest.mark.parametrize("reference", _perfbench_references())
+def test_every_name_perfbench_uses_resolves(reference):
+    _resolve(reference.split(":")[1])
 
 
 @pytest.mark.parametrize("mutation", sorted(MUTATIONS))

@@ -120,6 +120,29 @@ class TestCompute:
         assert f"simulate --event {event} --model {model}" in res.stderr
 
 
+# each prints an integer past CPython's int->str digit limit (4300 by default)
+OVERSIZED = [
+    ["constants", "fib", "--p", "2", "--i", "21000:21000"],
+    ["constants", "m", "--p", "2", "--n", "30000"],
+    ["constants", "s", "--p", "2", "--n", "30000"],
+    ["constants", "emax", "--p", "2", "--n", "22000", "--i", "1"],
+    ["compute", "pr", "--p", "1800"],
+    ["compute", "pa", "--p", "2", "--n", "16000"],
+    ["table", "pn", "--p", "2", "--n", "249:250", "--output", "csv"],
+]
+
+
+@pytest.mark.parametrize("args", OVERSIZED, ids=" ".join)
+def test_oversized_output_is_a_usage_error(runner, args):
+    # an exception the CLI lets escape fails here instead of exiting 1
+    res = runner.invoke(cli, args, catch_exceptions=False)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr
+    assert "output too large to print" in res.stderr
+    assert "integer string conversion" in res.stderr
+
+
 class TestSimulate:
     def test_embeds_exact_and_z(self, runner):
         res = invoke(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stickprob.closedform import (
+    _CLOSED_FORMS,
     MAX_DECIMAL_DIGITS,
     ExactProb,
     _product,
@@ -18,8 +19,9 @@ from stickprob.closedform import (
 )
 from stickprob.constraints import m_constants
 from stickprob.errors import DomainError, ResourceLimitError, UnsupportedFormulaError
+from stickprob.oracle import symbolic_pn_truncated
 from stickprob.sequences import fib
-from stickprob.verify import _pn_pickup_quadrilateral
+from stickprob.verify import _CONCORDANCE_GRID, _pn_pickup_quadrilateral
 
 
 class TestExactProb:
@@ -149,6 +151,12 @@ class TestPnTruncated:
         with pytest.raises(DomainError, match=r"got -1/10$"):
             pn_pickup_truncated(2, 3, Fraction(-1, 10))
 
+    @pytest.mark.parametrize("a", [float("inf"), float("nan"), "abc", None, "1/0"])
+    @pytest.mark.parametrize("evaluate", [pn_pickup_truncated, symbolic_pn_truncated])
+    def test_rejects_non_rational(self, evaluate, a):
+        with pytest.raises(DomainError, match=r"^truncation point a must be rational, got "):
+            evaluate(2, 3, a)
+
     def test_nonincreasing_to_zero(self):
         for p, n in ((2, 3), (2, 5), (3, 4)):
             cap = Fraction(1, m_constants(p, n)[0])
@@ -244,3 +252,10 @@ def test_all_outputs_reduced_and_in_unit_interval():
     for prob in probs:
         assert 0 <= prob.fraction <= 1
         assert gcd(prob.numerator, prob.denominator) == 1
+
+
+def test_every_closed_form_has_a_concordance_target():
+    """verify --suite mc shakes each (event, model) closed form against
+    Monte Carlo, so a new form cannot ship without a target."""
+    shaken = {(event, model) for event, model, _, ns in _CONCORDANCE_GRID if ns}
+    assert set(_CLOSED_FORMS) <= shaken

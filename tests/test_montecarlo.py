@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -57,6 +59,33 @@ class TestSpecs:
         montecarlo._lengths_into(DistributionSpec.exponential(rate), u, x)
         assert x[0, 0] >= np.finfo(np.float64).tiny
         assert np.isfinite(x[0, 1] * 2.0**63)
+
+    def test_fraction_truncation_matches_float(self):
+        event = EventSpec(NO_POLYGON, 2)
+        runs = [
+            estimate(event, DistributionSpec("truncated", a=a), 4, 70_000, 11)
+            for a in (Fraction(1, 10), 0.1)
+        ]
+        assert runs[0].successes == runs[1].successes
+        assert DistributionSpec("truncated", a=Fraction(1, 10)).a == 0.1
+
+    def test_fraction_rate_matches_float(self):
+        event = EventSpec(NO_POLYGON, 2)
+        runs = [
+            estimate(event, DistributionSpec("exponential", rate=rate), 4, 20_000, 12)
+            for rate in (Fraction(3), 3.0)
+        ]
+        assert runs[0].successes == runs[1].successes
+
+    @pytest.mark.parametrize(("field", "value"), [
+        ("a", "0.5"), ("a", None), ("rate", "2"), ("rate", 1j),
+        # past float range: no OverflowError escapes
+        ("rate", 10**400), ("a", Fraction(-(10**400))),
+    ])
+    def test_non_real_or_unrepresentable_is_a_domain_error(self, field, value):
+        model = "truncated" if field == "a" else "exponential"
+        with pytest.raises(DomainError):
+            DistributionSpec(model, **{field: value})
 
     def test_event_validation(self):
         with pytest.raises(DomainError):
