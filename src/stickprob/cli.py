@@ -31,7 +31,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -46,22 +45,6 @@ from .sequences import fib
 from .verify import MC_BASE_SEED, run_suite
 
 SCHEMA_VERSION = 1
-
-
-def _default_workers(ctx: click.Context, param: click.Parameter, value: int | None) -> int:
-    """--workers, else STICKPROB_WORKERS, else 1."""
-    if value is not None:
-        return value
-    raw = os.environ.get("STICKPROB_WORKERS")
-    if raw is None:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise click.UsageError(f"STICKPROB_WORKERS must be an integer, got {raw!r}") from exc
-    if workers < 1:
-        raise click.UsageError("STICKPROB_WORKERS must be >= 1")
-    return workers
 
 
 def _parse_range(text: str, flag: str) -> tuple[int, int]:
@@ -154,7 +137,8 @@ _model_option = click.option("--model", type=click.Choice(MODELS), default="pick
 _a_option = click.option("--a", "a", type=str, default=None,
                          help="Truncation point as num/den (model truncated only).")
 _digits_option = click.option("--decimal-digits", type=int, default=12, show_default=True)
-_workers_option = click.option("--workers", type=int, default=None, callback=_default_workers,
+_workers_option = click.option("--workers", type=click.IntRange(min=1), default=1,
+                               envvar="STICKPROB_WORKERS",
                                help="Defaults to STICKPROB_WORKERS, else 1.")
 
 

@@ -22,6 +22,7 @@ benchmark's ``exact-raises`` mutation patches that line.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
@@ -46,7 +47,8 @@ __all__ = [
 
 RationalLike = Union[Fraction, int, str]
 
-# below CPython's 4300-digit int->str limit, which a rendering must not reach
+# a bound on rendering work, below CPython's default 4300-digit int->str
+# limit; decimal() also refuses digits at or past the limit in force
 MAX_DECIMAL_DIGITS = 4000
 
 
@@ -85,6 +87,12 @@ class ExactProb:
         if digits > MAX_DECIMAL_DIGITS:
             raise ResourceLimitError(
                 f"digits must be <= {MAX_DECIMAL_DIGITS}, got {digits}"
+            )
+        limit = sys.get_int_max_str_digits()  # 0: no limit
+        if limit and digits >= limit:
+            raise ResourceLimitError(
+                f"digits must be < {limit}, the interpreter's int->str digit "
+                f"limit, got {digits}"
             )
         scaled, rem = divmod(self.numerator * 10**digits, self.denominator)
         if 2 * rem >= self.denominator:

@@ -51,5 +51,10 @@ def require_truncation(a: "Fraction | int | str") -> Fraction:
     except (TypeError, ValueError, ArithmeticError) as exc:  # None, "abc", nan, inf
         raise DomainError(f"truncation point a must be rational, got {a!r}") from exc
     if not 0 <= a < 1:
-        raise DomainError(f"truncation point a must be in [0, 1), got {a}")
+        try:
+            shown = str(a)
+        except ValueError:  # past the interpreter's int->str digit limit
+            shown = (f"a rational too long to print ({a.numerator.bit_length()}-bit "
+                     f"numerator, {a.denominator.bit_length()}-bit denominator)")
+        raise DomainError(f"truncation point a must be in [0, 1), got {shown}")
     return a

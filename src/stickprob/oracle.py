@@ -1,13 +1,14 @@
 """Independent exact verification routes.
 
-``symbolic_pn_pickup`` evaluates the ordered-lengths probability integral
-literally: integrate out the longest stick between its bound forms, then
-the next, and so on down to the shortest.  Every bound is affine in the
-remaining lengths with rational coefficients, so each step maps a
-polynomial to a polynomial and the whole computation stays exact.  The
-integrator shares only the bound *forms* with the production code (the
-minimum forms and the vector-route maximum forms), never the closed-form
-denominators, which is what makes it an oracle for them.
+``symbolic_pn_pickup`` evaluates the ordered-lengths probability
+integral literally: integrate out the longest stick between its bound
+forms, then the next, and so on down to the shortest.  Every bound is
+affine in the remaining lengths with rational coefficients, so each step
+maps a polynomial to a polynomial and the whole computation stays exact.
+A bound replaces its variable by Horner's rule, from the top degree
+down.  The integrator shares only the bound *forms* with the production
+code (the minimum forms and the vector-route maximum forms), never the
+closed-form denominators, which is what makes it an oracle for them.
 
 ``r_vector`` iterates the linear recurrence obeyed by the exponents in
 the stepwise integration of exponential tails; its entries must line up
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .closedform import ExactProb, RationalLike
 from .constraints import max_length_form, min_length_form
@@ -50,19 +51,26 @@ class MultiPoly:
     def __init__(
         self,
         nvars: int,
-        terms: Mapping[tuple[int, ...], Fraction] | None = None,
+        terms: Mapping[tuple[int, ...], RationalLike] | None = None,
     ) -> None:
         self.nvars = nvars
         self.terms: dict[tuple[int, ...], Fraction] = {}
-        if terms:
-            for expo, coeff in terms.items():
-                coeff = Fraction(coeff)
-                if coeff:
-                    self.terms[tuple(expo)] = coeff
+        self._accumulate((tuple(e), Fraction(c)) for e, c in (terms or {}).items())
+
+    def _accumulate(self, pairs: Iterable[tuple[tuple, Fraction]]) -> "MultiPoly":
+        """Add each coefficient under its exponent, dropping keys that sum to 0."""
+        terms = self.terms
+        for expo, coeff in pairs:
+            total = terms.get(expo, 0) + coeff
+            if total:
+                terms[expo] = total
+            else:
+                terms.pop(expo, None)
+        return self
 
     @classmethod
     def constant(cls, nvars: int, value: RationalLike) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+        return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
     def affine(
@@ -72,49 +80,30 @@ class MultiPoly:
         coeffs: Mapping[int, RationalLike],
     ) -> "MultiPoly":
         """constant + sum(coeffs[v] * l_{v+1}) over 0-based variable slots."""
-        terms = {(0,) * nvars: Fraction(constant)}
+        terms = {(0,) * nvars: constant}
         for var, coeff in coeffs.items():
-            expo = [0] * nvars
-            expo[var] = 1
-            terms[tuple(expo)] = Fraction(coeff)
+            terms[tuple(int(v == var) for v in range(nvars))] = coeff
         return cls(nvars, terms)
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        out = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            new = out.get(expo, Fraction(0)) + coeff
-            if new:
-                out[expo] = new
-            else:
-                out.pop(expo, None)
-        result = MultiPoly(self.nvars)
-        result.terms = out
-        return result
+        out = MultiPoly(self.nvars)
+        out.terms = dict(self.terms)
+        return out._accumulate(other.terms.items())
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (other * Fraction(-1))
+        return self + other * -1
 
-    def __mul__(self, other: "MultiPoly | Fraction | int") -> "MultiPoly":
-        result = MultiPoly(self.nvars)
+    def __mul__(self, other: "MultiPoly | RationalLike") -> "MultiPoly":
         if not isinstance(other, MultiPoly):
-            factor = Fraction(other)
-            if factor:
-                result.terms = {e: c * factor for e, c in self.terms.items()}
-            return result
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                new = acc.get(expo, Fraction(0)) + c1 * c2
-                if new:
-                    acc[expo] = new
-                else:
-                    acc.pop(expo, None)
-        result.terms = acc
-        return result
+            other = MultiPoly.constant(self.nvars, other)
+        return MultiPoly(self.nvars)._accumulate(
+            (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+            for e1, c1 in self.terms.items()
+            for e2, c2 in other.terms.items()
+        )
 
     __rmul__ = __mul__
 
@@ -127,44 +116,22 @@ class MultiPoly:
         return result
 
     def substitute(self, var: int, replacement: "MultiPoly") -> "MultiPoly":
-        """Replace variable ``var`` by a polynomial (usually an affine bound)."""
-        if not self.terms:
-            return MultiPoly(self.nvars)
-        by_degree: dict[int, MultiPoly] = {}
+        """Replace ``var`` by a polynomial (usually an affine bound), by Horner."""
+        by_degree: dict[int, dict[tuple[int, ...], Fraction]] = {}
         for expo, coeff in self.terms.items():
-            degree = expo[var]
-            reduced = list(expo)
-            reduced[var] = 0
             # exponents that reduce alike differ in this degree: no key repeats
-            by_degree.setdefault(degree, MultiPoly(self.nvars)).terms[tuple(reduced)] = coeff
+            reduced = expo[:var] + (0,) + expo[var + 1:]
+            by_degree.setdefault(expo[var], {})[reduced] = coeff
         out = MultiPoly(self.nvars)
-        power = MultiPoly.constant(self.nvars, 1)
-        for degree in range(max(by_degree) + 1):
-            if degree:
-                power = power * replacement
-            bucket = by_degree.get(degree)
-            if bucket is not None:
-                out = out + bucket * power
+        for degree in range(max(by_degree, default=-1), -1, -1):
+            out = (out * replacement)._accumulate(by_degree.get(degree, {}).items())
         return out
 
     def constant_value(self) -> Fraction:
         """The value of a polynomial with no remaining variables."""
-        if not self.terms:
-            return Fraction(0)
-        if len(self.terms) == 1:
-            (expo, coeff), = self.terms.items()
-            if not any(expo):
-                return coeff
-        raise DomainError("polynomial still depends on variables")
-
-
-def _check_chain_args(p: int, n: int, size_guard: int) -> None:
-    require_subset(p, n)
-    if n > size_guard:
-        raise ResourceLimitError(
-            f"n = {n} exceeds the size guard {size_guard}; the term count "
-            "grows factorially, raise the guard explicitly to proceed"
-        )
+        if any(any(expo) for expo in self.terms):
+            raise DomainError("polynomial still depends on variables")
+        return self.terms.get((0,) * self.nvars, Fraction(0))
 
 
 def _upper_bound_poly(p: int, n: int, i: int) -> MultiPoly:
@@ -195,7 +162,12 @@ def integration_chain(
     l_1..l_{i-1} only.  The final yield is the univariate polynomial in
     l_1 whose last integral gives the probability (up to n!).
     """
-    _check_chain_args(p, n, size_guard)
+    require_subset(p, n)
+    if n > size_guard:
+        raise ResourceLimitError(
+            f"n = {n} exceeds the size guard {size_guard}; the term count "
+            "grows factorially, raise the guard explicitly to proceed"
+        )
     poly = MultiPoly.constant(n, 1)
     for i in range(n, 1, -1):
         var = i - 1
