@@ -88,7 +88,8 @@ class ExactProb:
             raise ResourceLimitError(
                 f"digits must be <= {MAX_DECIMAL_DIGITS}, got {digits}"
             )
-        limit = sys.get_int_max_str_digits()  # 0: no limit
+        # 0 means no limit, as on the 3.10 releases before 3.10.7 that lack it
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if limit and digits >= limit:
             raise ResourceLimitError(
                 f"digits must be < {limit}, the interpreter's int->str digit "
