@@ -16,10 +16,12 @@ Usage sketches::
 Exact values cross this boundary as num/den strings or {"num", "den"}
 objects, never floats.  Reports are JSON on stdout (CSV for tables on
 request).  Exit status: 0 success, 1 verify found a failing identity,
-2 usage error (an input outside a formula's domain or its size guards, or
-output holding an integer past CPython's int->str digit limit), 3
-no closed form exists for the request: pa beyond quadrilaterals, or an
-(event, model) pair without one, such as pa or pr under any model but pickup.
+2 usage error (an input outside a formula's domain or its size guards, a
+Monte Carlo row too wide for the sub-block buffers, or output holding an
+integer past CPython's int->str digit limit), 3 no closed form exists for
+the request: pa beyond quadrilaterals with n > p (n <= p is vacuously 1 at
+every p), or an (event, model) pair without one, such as pa or pr under
+any model but pickup.
 The exit-3 message names the Monte Carlo fallback, ``simulate --event E
 --model M``.  Ranges use inclusive lo:hi syntax.  The only environment
 variable honoured is STICKPROB_WORKERS, the default worker count for

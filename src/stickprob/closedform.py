@@ -197,19 +197,20 @@ def pn_exponential(p: int, n: int) -> ExactProb:
 def pa_pickup(p: int, n: int) -> ExactProb:
     """PA for n independent uniform [0, 1] lengths.
 
-    Closed forms exist for triangles (1 / 2^(n-2)) and quadrilaterals
-    (2 * ((2/3)^(n-3) - (1/2)^(n-2))) only; larger polygons have no known
-    closed form and must go through the Monte Carlo estimator.
+    Vacuously 1 for n <= p at every p.  Otherwise closed forms exist for
+    triangles (1 / 2^(n-2)) and quadrilaterals
+    (2 * ((2/3)^(n-3) - (1/2)^(n-2))) only; larger polygons with n > p have
+    no known closed form and must go through the Monte Carlo estimator.
     """
     require_p(p)
     require_n(n)
+    if is_vacuous(p, n):
+        return ExactProb(1, 1)
     if p not in (2, 3):
         raise UnsupportedFormulaError(
             "no closed form for the all-subsets probability with p >= 4; "
             "fall back to the Monte Carlo estimator (simulate --event pa --model pickup)"
         )
-    if is_vacuous(p, n):
-        return ExactProb(1, 1)
     if p == 2:
         return ExactProb.from_fraction(Fraction(1, 2 ** (n - 2)))
     value = 2 * (Fraction(2, 3) ** (n - 3) - Fraction(1, 2) ** (n - 2))
@@ -244,7 +245,8 @@ def closed_form(event: str, model: str):
     (pn/pa/pr) under a sampling model (pickup/truncated/exponential/broken).
 
     Raises UnsupportedFormulaError for a pair without a closed form; the
-    evaluator itself raises it where the formula stops (pa for p >= 4).
+    evaluator itself raises it where the formula stops (pa for p >= 4 and
+    n > p).
     """
     try:
         return _CLOSED_FORMS[event, model]

@@ -13,7 +13,9 @@ two buffers reused across the chunk, and its predicate results into one
 per-chunk array.  With w words and n lengths per trial, a chunk's samples
 so take about 8192 x (w + n) x 8 bytes, small enough to stay in cache
 between the steps, not the 65 536 x (w + n) x 8 bytes of one draw over the
-whole chunk.
+whole chunk.  Wide rows get fewer rows per sub-block, so the two buffers
+never hold more than 2^20 words (8 MiB); a single row wider than that is
+refused with ``ResourceLimitError``.
 
 Floating point is deliberate here: the Monte Carlo error at any feasible
 trial count dwarfs rounding error.  Exactness lives in the closed forms
@@ -43,7 +45,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import DomainError, require_n, require_p, require_subset
+from .errors import DomainError, ResourceLimitError, require_n, require_p, require_subset
 
 __all__ = [
     "MODELS",
@@ -73,6 +75,7 @@ EVENTS = {"pn": NO_POLYGON, "pa": ALL_POLYGON, "pr": RANDOM_SUBSET_POLYGON}
 _WORDS_PER_BLOCK = 4  # Philox4x64 words per counter increment
 _TRIALS_PER_CHUNK = 1 << 16
 _ROWS_PER_BLOCK = 1 << 13  # rows scored at a time within a chunk
+_BUFFER_WORDS = 1 << 20  # float64 words in a sub-block's two buffers together
 
 
 @dataclass(frozen=True)
@@ -311,8 +314,14 @@ def _run_chunk(
     count = t1 - t0
     bits = np.random.Philox(key=seed, counter=t0 * blocks_per_trial)
     gen = np.random.Generator(bits)
-    rows = min(count, _ROWS_PER_BLOCK)
-    ubuf = np.empty((rows, blocks_per_trial * _WORDS_PER_BLOCK))
+    width = blocks_per_trial * _WORDS_PER_BLOCK
+    rows = min(count, _ROWS_PER_BLOCK, _BUFFER_WORDS // (width + n))
+    if not rows:
+        raise ResourceLimitError(
+            f"one trial at n = {n} needs {width + n} buffer words, past the "
+            f"sub-block budget of {_BUFFER_WORDS}"
+        )
+    ubuf = np.empty((rows, width))
     xbuf = np.empty((rows, n))
     n_len = dist.uniforms_per_trial(n)
     ok = np.empty(count, dtype=bool)

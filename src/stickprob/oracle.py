@@ -1,13 +1,14 @@
 """Independent exact verification routes.
 
 ``symbolic_pn_pickup`` evaluates the ordered-lengths probability
-integral literally: integrate out the longest stick between its bound
-forms, then the next, and so on down to the shortest.  Every bound is
-affine in the remaining lengths with rational coefficients, so each step
-maps a polynomial to a polynomial and the whole computation stays exact.
-A bound replaces its variable by Horner's rule, from the top degree
-down.  The integrator shares only the bound *forms* with the production
-code (the minimum forms and the vector-route maximum forms), never the
+integral literally: integrate out the longest stick from its minimum form
+to its maximum form, then the next, and so on down to the shortest, one
+definite-integral step per stick (``_integrate``).  Every bound is affine
+in the remaining lengths with rational coefficients, so each step maps a
+polynomial to a polynomial and the whole computation stays exact.  A
+bound replaces its variable by Horner's rule, from the top degree down.
+The integrator shares only the bound *forms* with the production code
+(the minimum forms and the vector-route maximum forms), never the
 closed-form denominators, which is what makes it an oracle for them.
 
 ``r_vector`` iterates the linear recurrence obeyed by the exponents in
@@ -22,7 +23,7 @@ from math import factorial
 from typing import Iterable, Iterator, Mapping
 
 from .closedform import ExactProb, RationalLike
-from .constraints import max_length_form, min_length_form
+from .constraints import LinearForm, max_length_form, min_length_form
 from .errors import DomainError, ResourceLimitError, require_p, require_subset
 from .errors import require_truncation
 
@@ -134,23 +135,25 @@ class MultiPoly:
         return self.terms.get((0,) * self.nvars, Fraction(0))
 
 
+def _form_poly(n: int, form: LinearForm) -> MultiPoly:
+    """A bound form as an affine polynomial in l_1..l_n."""
+    return MultiPoly.affine(n, form.constant, dict(enumerate(form.coeffs)))
+
+
 def _upper_bound_poly(p: int, n: int, i: int) -> MultiPoly:
     """Affine polynomial for the cap on stick i (pick-up sticks)."""
     if i == n:
         return MultiPoly.constant(n, 1)
     den, form = max_length_form(p, n, i)
-    coeffs = {
-        v: Fraction(-form.coeffs[v], den)
-        for v in range(form.arity)
-        if form.coeffs[v]
-    }
-    return MultiPoly.affine(n, Fraction(1 - form.constant, den), coeffs)
+    return (MultiPoly.constant(n, 1) - _form_poly(n, form)) * Fraction(1, den)
 
 
-def _lower_bound_poly(p: int, n: int, i: int) -> MultiPoly:
-    form = min_length_form(p, i)
-    coeffs = {v: Fraction(c) for v, c in enumerate(form.coeffs) if c}
-    return MultiPoly.affine(n, form.constant, coeffs)
+def _integrate(
+    poly: MultiPoly, var: int, lower: MultiPoly, upper: MultiPoly
+) -> MultiPoly:
+    """The definite integral of ``poly`` in ``var`` from ``lower`` to ``upper``."""
+    anti = poly.antiderivative(var)
+    return anti.substitute(var, upper) - anti.substitute(var, lower)
 
 
 def integration_chain(
@@ -170,11 +173,8 @@ def integration_chain(
         )
     poly = MultiPoly.constant(n, 1)
     for i in range(n, 1, -1):
-        var = i - 1
-        anti = poly.antiderivative(var)
-        poly = anti.substitute(var, _upper_bound_poly(p, n, i)) - anti.substitute(
-            var, _lower_bound_poly(p, n, i)
-        )
+        lower = _form_poly(n, min_length_form(p, i))
+        poly = _integrate(poly, i - 1, lower, _upper_bound_poly(p, n, i))
         yield i, poly
 
 
@@ -193,26 +193,19 @@ def symbolic_pn_truncated(
 ) -> ExactProb:
     """PN for lengths uniform on [a, 1], by the same iterated integration.
 
-    Built as the full volume minus the slab with the shortest stick below
-    ``a``, rescaled by the density factor 1/(1-a)^n.  Zero once ``a``
-    reaches the cap on the shortest stick.
+    The last integral, over the shortest stick, runs from ``a`` instead of
+    0 up to its cap, and the density factor 1/(1-a)^n rescales it.  Zero
+    once ``a`` reaches that cap.
     """
     a = require_truncation(a)
     final = None
     for _, poly in integration_chain(p, n, size_guard):
         final = poly
-    cap = Fraction(1, max_length_form(p, n, 1)[0])
-    if a >= cap:
+    upper = _upper_bound_poly(p, n, 1)
+    if a >= upper.constant_value():
         return ExactProb(0, 1)
-    anti = final.antiderivative(0)
-
-    def at(point: Fraction) -> Fraction:
-        return anti.substitute(0, MultiPoly.constant(n, point)).constant_value()
-
-    full = at(cap) - at(Fraction(0))
-    slab = at(a) - at(Fraction(0))
-    value = factorial(n) * (full - slab) / (1 - a) ** n
-    return ExactProb.from_fraction(value)
+    volume = _integrate(final, 0, MultiPoly.constant(n, a), upper).constant_value()
+    return ExactProb.from_fraction(factorial(n) * volume / (1 - a) ** n)
 
 
 def intermediates_vanish_at_max(

@@ -23,17 +23,18 @@ class StepFibTable:
     Lookups behave like a pure function of the index: extension is
     serialized by a lock, published entries are never mutated, and nothing
     is evicted (index ranges stay tiny at desk scale).  Each new F_i also
-    appends SF_i = SF_{i-1} + F_i, so a prefix sum is one lookup.  Indices
-    below the initial zero block (lowest defined index: 2 - p) are
-    rejected rather than treated as zeros.
+    appends SF_i = SF_{i-1} + F_i, so a prefix sum is one lookup.  Of the
+    initial zero block only F_0 is stored, so F_i and SF_i sit at position
+    i.  Indices below the block (lowest defined index: 2 - p) are rejected
+    rather than treated as zeros.
     """
 
     def __init__(self, p: int) -> None:
         require_p(p)
         self.p = p
         self.low = 2 - p
-        self._vals = [0] * (p - 1) + [1]  # F_{2-p} .. F_1
-        self._sums = [0, 1]  # SF_0, SF_1; SF_i lands before F_i
+        self._vals = [0, 1]  # F_0, F_1
+        self._sums = [0, 1]  # SF_0, SF_1
         self._lock = threading.Lock()
 
     def fib(self, i: int) -> int:
@@ -43,14 +44,15 @@ class StepFibTable:
                 f"F_{i} with step count {self.p} is undefined: "
                 f"indices below {self.low} lie outside the initial block"
             )
-        pos = i - self.low
-        if pos >= len(self._vals):
+        if i < 0:
+            return 0
+        if i >= len(self._vals):
             with self._lock:
-                while pos >= len(self._vals):
+                while i >= len(self._vals):
                     value = sum(self._vals[-self.p:])
                     self._sums.append(self._sums[-1] + value)
                     self._vals.append(value)
-        return self._vals[pos]
+        return self._vals[i]
 
     def prefix_sum(self, i: int) -> int:
         """SF_i^p = F_1^p + ... + F_i^p, defined for i >= 1."""
@@ -82,7 +84,7 @@ def fib_prefix_sum(p: int, i: int) -> int:
     return _table(p).prefix_sum(i)
 
 
-# p -> [t_{2-p}, ..., t_k], extended under _T_LOCK like StepFibTable
+# p -> [t_0, ..., t_k], extended under _T_LOCK like StepFibTable
 _T_TABLES: dict[int, list[int]] = {}
 _T_LOCK = threading.Lock()
 
@@ -99,11 +101,10 @@ def t_value(p: int, k: int) -> int:
     require_p(p)
     if k < 1:
         raise DomainError(f"t_k is generated for k >= 1 only, got {k}")
-    pos = k + p - 2
     vals = _T_TABLES.get(p)
-    if vals is None or pos >= len(vals):
+    if vals is None or k >= len(vals):
         with _T_LOCK:
-            vals = _T_TABLES.setdefault(p, [0] * (p - 1) + [1])
-            while pos >= len(vals):
+            vals = _T_TABLES.setdefault(p, [0, 1])
+            while k >= len(vals):
                 vals.append(1 + sum(vals[-p:]))
-    return vals[pos]
+    return vals[k]

@@ -75,6 +75,12 @@ class TestCompute:
         assert res.exit_code == 3
         assert "Monte Carlo" in res.output
 
+    def test_vacuous_pa_beyond_quadrilaterals(self, runner):
+        res = invoke(runner, "compute", "pa", "--p", "5", "--n", "5")
+        result = json.loads(res.output)["result"]
+        assert result["exact"] == {"num": 1, "den": 1}
+        assert result["vacuous"] is True
+
     def test_usage_errors_exit_2(self, runner):
         cases = [
             ["compute", "pn", "--p", "2"],                      # missing --n
@@ -186,6 +192,16 @@ class TestSimulate:
         )
         assert json.loads(res.output)["inputs"]["workers"] == 3
 
+    def test_row_too_wide_exits_2(self, runner):
+        # a pair without a closed form, so nothing evaluates PN at this n
+        res = runner.invoke(cli, ["simulate", "--event", "pa", "--model", "broken",
+                                  "--p", "2", "--n", "600000", "--trials", "1"],
+                            catch_exceptions=False)
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "sub-block budget" in res.stderr
+        assert "Traceback" not in res.output
+
     def test_rate_only_for_exponential(self, runner):
         res = runner.invoke(
             cli, ["simulate", "--event", "pn", "--p", "2", "--n", "3",
@@ -226,6 +242,12 @@ class TestTable:
     def test_bad_range_exits_2(self, runner):
         res = runner.invoke(cli, ["table", "pn", "--p", "4:2", "--n", "3:5"])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("text", ["1:2:3", "abc"])
+    def test_malformed_range_exits_2(self, runner, text):
+        res = runner.invoke(cli, ["table", "pn", "--p", text, "--n", "3:5"])
+        assert res.exit_code == 2
+        assert f"--p expects an integer or lo:hi range, got {text!r}" in res.output
 
     def test_pa_above_quadrilateral_exits_3(self, runner):
         res = runner.invoke(cli, ["table", "pa", "--p", "2:5", "--n", "4:6"])

@@ -226,6 +226,10 @@ class TestPaPickup:
     def test_vacuous(self):
         assert pa_pickup(3, 3).fraction == 1
 
+    @pytest.mark.parametrize(("p", "n"), [(4, 4), (5, 2), (9, 9)])
+    def test_vacuous_at_every_p(self, p, n):
+        assert pa_pickup(p, n) == ExactProb(1, 1)
+
 
 class TestPrPickup:
     @pytest.mark.parametrize(

@@ -102,6 +102,14 @@ class TestLinearForm:
         assert str(LinearForm(4, (1, 0, 2, 1))) == "l4 + 2*l3 + l1"
         assert str(LinearForm.zero(3)) == "0"
 
+    def test_str_with_constant(self):
+        assert str(LinearForm(2, (3, 0), Fraction(1, 2))) == "3*l1 + 1/2"
+        assert str(LinearForm(0, (), Fraction(-2, 3))) == "-2/3"
+
+    def test_rejects_negative_arity(self):
+        with pytest.raises(DomainError, match="arity must be >= 0, got -1"):
+            LinearForm(-1, ())
+
 
 class TestMinLengthForm:
     def test_first_stick_unconstrained(self):
@@ -440,3 +448,7 @@ class TestFeasibleSampling:
     def test_rejects_bad_length(self):
         with pytest.raises(DomainError):
             sample_feasible_prefix(2, 4, 4, Random(0))
+
+    def test_rejects_empty_grid(self):
+        with pytest.raises(DomainError, match="max_denominator must be >= 1"):
+            sample_feasible_prefix(2, 4, 1, Random(0), max_denominator=0)

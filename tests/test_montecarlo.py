@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from stickprob import montecarlo
 from stickprob.closedform import pn_pickup
-from stickprob.errors import DomainError
+from stickprob.errors import DomainError, ResourceLimitError
 from stickprob.montecarlo import (
     ALL_POLYGON,
     NO_POLYGON,
@@ -148,6 +149,11 @@ class TestNoPolygon:
         with pytest.raises(DomainError):
             no_polygon([3, 1, 2], 2)
 
+    @pytest.mark.parametrize("predicate", [no_polygon, all_polygon])
+    def test_rejects_two_dimensional_lengths(self, predicate):
+        with pytest.raises(DomainError, match="one-dimensional"):
+            predicate([[0.1, 0.2, 0.3]], 2)
+
     def test_rejects_bad_p(self):
         with pytest.raises(DomainError):
             no_polygon([1, 2, 3], 1)
@@ -232,6 +238,23 @@ class TestEstimate:
             estimate(event, dist, 4, 10, 2**64)
         with pytest.raises(DomainError):
             estimate(EventSpec(RANDOM_SUBSET_POLYGON, 3), dist, 3, 10, 1)
+
+    def test_wide_rows_stay_within_the_buffer_budget(self):
+        # 8192 trials of 2000 lengths: one 8192-row sub-block would hold
+        # about 260 MB; the count is the one that single sub-block gives
+        event, dist = EventSpec(RANDOM_SUBSET_POLYGON, 3), DistributionSpec.uniform01()
+        tracemalloc.start()
+        try:
+            est = estimate(event, dist, 2000, 8192, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.successes == 6852
+        assert peak < 64 * 2**20
+
+    def test_refuses_a_row_past_the_buffer_budget(self):
+        with pytest.raises(ResourceLimitError, match="sub-block budget"):
+            estimate(EventSpec(NO_POLYGON, 2), DistributionSpec.uniform01(), 600_000, 1, 0)
 
     def test_p_hat_is_exact_ratio(self):
         est = estimate(

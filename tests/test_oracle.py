@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from stickprob import oracle
 from stickprob.closedform import pn_pickup, pn_pickup_truncated
 from stickprob.errors import DomainError, ResourceLimitError
 from stickprob.oracle import (
@@ -107,6 +108,17 @@ class TestVanishingIntermediates:
     @pytest.mark.parametrize(("p", "n"), [(2, 4), (2, 6), (3, 5), (4, 6)])
     def test_partial_integrals_vanish(self, p, n):
         assert intermediates_vanish_at_max(p, n)
+
+    @pytest.mark.parametrize(("p", "n"), [(2, 4), (3, 5)])
+    def test_shifted_cap_is_caught(self, monkeypatch, p, n):
+        # every cap off by 1/100: pinning a stick there leaves a nonzero slab
+        inner = oracle._upper_bound_poly
+
+        def shifted(p, n, i):
+            return inner(p, n, i) + MultiPoly.constant(n, Fraction(1, 100))
+
+        monkeypatch.setattr(oracle, "_upper_bound_poly", shifted)
+        assert not intermediates_vanish_at_max(p, n)
 
     def test_chain_ends_univariate(self):
         last = None

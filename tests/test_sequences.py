@@ -1,11 +1,14 @@
 import random
 import sys
 import threading
+import tracemalloc
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
 from stickprob import sequences
+from stickprob.cli import cli
 from stickprob.errors import DomainError
 from stickprob.sequences import StepFibTable, fib, fib_prefix_sum, t_value
 
@@ -203,3 +206,28 @@ def test_four_threads_extend_fresh_tables_alike(fresh_tables):
     assert sums[399] == sum(fibs[i] for i in range(1, 400))
     assert ts[399] == _t_reference(3, 399)
     assert table._sums == [0] + [sums[i] for i in range(1, 400)]
+
+
+def _constants_fib_cli():
+    res = CliRunner().invoke(cli, ["constants", "fib", "--p", "10000000", "--i", "1"])
+    assert res.exit_code == 0, res.output
+    return res.output
+
+
+@pytest.mark.parametrize("call", [
+    lambda: StepFibTable(10**6).fib(1),
+    lambda: t_value(10**6, 1),
+    _constants_fib_cli,
+], ids=["table", "t_value", "cli"])
+def test_large_p_stores_no_zero_block(fresh_tables, call):
+    # the p - 1 zeros before index 1 would take 8 bytes each
+    call()  # imports and first-call caches outside the measured run
+    sequences._TABLES.clear()
+    sequences._T_TABLES.clear()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
