@@ -8,8 +8,10 @@ algebraic derivations of the same constants, literal symbolic integration
 of the defining integrals, and seeded Monte Carlo simulation.
 
 The root exports the supported surface; the submodules (``sequences``,
-``constraints``, ``closedform``, ``montecarlo``, ``oracle``, ``verify``,
-``cli``) hold the rest.
+``constraints``, ``closedform``, ``specs``, ``montecarlo``, ``oracle``,
+``verify``, ``cli``) hold the rest.  Importing the package loads no numpy:
+``montecarlo`` is the only module that needs it, and ``estimate`` loads it
+on first access.  The exact evaluators run with numpy absent.
 """
 
 from .closedform import (
@@ -31,8 +33,8 @@ from .errors import (
     SticksError,
     UnsupportedFormulaError,
 )
-from .montecarlo import DistributionSpec, EventSpec, MCEstimate, estimate
 from .sequences import StepFibTable, fib, fib_prefix_sum, t_value
+from .specs import DistributionSpec, EventSpec, MCEstimate
 
 __version__ = "1.0.0"
 
@@ -62,3 +64,13 @@ __all__ = [
     "s_constants",
     "t_value",
 ]
+
+
+def __getattr__(name: str):
+    # PEP 562: load the Monte Carlo module, and numpy with it, only when
+    # ``estimate`` is asked for
+    if name == "estimate":
+        from .montecarlo import estimate
+
+        return estimate
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -41,9 +41,10 @@ import click
 
 from .closedform import ExactProb, closed_form, is_vacuous
 from .errors import DomainError, ResourceLimitError, UnsupportedFormulaError, require_truncation
-from .montecarlo import EVENTS, MODELS, DistributionSpec, EventSpec, estimate
+from .montecarlo import estimate
 from .constraints import BOUND_MODELS, LinearForm, m_constants, max_length_form, s_constants
 from .sequences import fib
+from .specs import EVENTS, MODELS, DistributionSpec, EventSpec
 from .verify import MC_BASE_SEED, run_suite
 
 SCHEMA_VERSION = 1

@@ -65,7 +65,7 @@ __all__ = [
     "sample_feasible_prefix",
 ]
 
-# the sampling models (as named in montecarlo.MODELS) with bound forms
+# the sampling models (as named in specs.MODELS) with bound forms
 BOUND_MODELS = ("pickup", "broken")
 
 Rational = Union[Fraction, int]

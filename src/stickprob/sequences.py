@@ -23,10 +23,12 @@ class StepFibTable:
     Lookups behave like a pure function of the index: extension is
     serialized by a lock, published entries are never mutated, and nothing
     is evicted (index ranges stay tiny at desk scale).  Each new F_i also
-    appends SF_i = SF_{i-1} + F_i, so a prefix sum is one lookup.  Of the
-    initial zero block only F_0 is stored, so F_i and SF_i sit at position
-    i.  Indices below the block (lowest defined index: 2 - p) are rejected
-    rather than treated as zeros.
+    appends SF_i = SF_{i-1} + F_i, so a prefix sum is one lookup, and each
+    new term is one subtraction of stored sums, F_i = SF_{i-1} - SF_{i-1-p}
+    (SF_j = 0 for j <= 0), whatever p is.  Of the initial zero block only
+    F_0 is stored, so F_i and SF_i sit at position i.  Indices below the
+    block (lowest defined index: 2 - p) are rejected rather than treated as
+    zeros.
     """
 
     def __init__(self, p: int) -> None:
@@ -48,9 +50,13 @@ class StepFibTable:
             return 0
         if i >= len(self._vals):
             with self._lock:
+                sums = self._sums
                 while i >= len(self._vals):
-                    value = sum(self._vals[-self.p:])
-                    self._sums.append(self._sums[-1] + value)
+                    # a window reaching below index 1 subtracts SF = 0,
+                    # never a wrapped-around list entry
+                    low = len(sums) - 1 - self.p
+                    value = sums[-1] - (sums[low] if low > 0 else 0)
+                    sums.append(sums[-1] + value)
                     self._vals.append(value)
         return self._vals[i]
 
@@ -84,8 +90,9 @@ def fib_prefix_sum(p: int, i: int) -> int:
     return _table(p).prefix_sum(i)
 
 
-# p -> [t_0, ..., t_k], extended under _T_LOCK like StepFibTable
-_T_TABLES: dict[int, list[int]] = {}
+# p -> ([t_0, ..., t_k], [T_0, ..., T_k]) with T_j = t_1 + ... + t_j,
+# extended under _T_LOCK like StepFibTable
+_T_TABLES: dict[int, tuple[list[int], list[int]]] = {}
 _T_LOCK = threading.Lock()
 
 
@@ -96,15 +103,20 @@ def t_value(p: int, k: int) -> int:
     Equals fib_prefix_sum(p, k) for every k >= 1, but is generated and
     memoized (per p, like the step-Fibonacci tables) by its own recurrence,
     never reading those tables, so the two routes can be checked against
-    each other.
+    each other.  The window sum comes from a running sum of its own:
+    t_k = 1 + T_{k-1} - T_{k-1-p}, with T_j = 0 for j <= 0.
     """
     require_p(p)
     if k < 1:
         raise DomainError(f"t_k is generated for k >= 1 only, got {k}")
-    vals = _T_TABLES.get(p)
-    if vals is None or k >= len(vals):
+    table = _T_TABLES.get(p)
+    if table is None or k >= len(table[0]):
         with _T_LOCK:
-            vals = _T_TABLES.setdefault(p, [0, 1])
+            table = _T_TABLES.setdefault(p, ([0, 1], [0, 1]))
+            vals, sums = table
             while k >= len(vals):
-                vals.append(1 + sum(vals[-p:]))
-    return vals[k]
+                low = len(sums) - 1 - p
+                value = 1 + sums[-1] - (sums[low] if low > 0 else 0)
+                sums.append(sums[-1] + value)
+                vals.append(value)
+    return table[0][k]

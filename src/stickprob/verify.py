@@ -36,15 +36,9 @@ from .constraints import (
     sample_feasible_prefix,
 )
 from .errors import DomainError
-from .montecarlo import (
-    EVENTS,
-    NO_POLYGON,
-    RANDOM_SUBSET_POLYGON,
-    DistributionSpec,
-    EventSpec,
-    estimate,
-)
+from .montecarlo import estimate
 from .sequences import fib, fib_prefix_sum, t_value
+from .specs import EVENTS, NO_POLYGON, RANDOM_SUBSET_POLYGON, DistributionSpec, EventSpec
 
 __all__ = [
     "CheckResult",

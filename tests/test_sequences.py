@@ -208,6 +208,34 @@ def test_four_threads_extend_fresh_tables_alike(fresh_tables):
     assert table._sums == [0] + [sums[i] for i in range(1, 400)]
 
 
+def _fib_reference(p, i):
+    # the bare recurrence over the whole zero block, as a reference
+    vals = [0] * (p - 1) + [1]
+    for _ in range(i - 1):
+        vals.append(sum(vals[-p:]))
+    return vals[-1]
+
+
+@pytest.mark.parametrize("p", range(2, 13))
+def test_tables_match_the_bare_recurrence(fresh_tables, p):
+    table = StepFibTable(p)
+    assert [table.fib(i) for i in range(1, 301)] == [_fib_reference(p, i) for i in range(1, 301)]
+    assert [t_value(p, k) for k in range(1, 301)] == [_t_reference(p, k) for k in range(1, 301)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 100, 100000])
+def test_terms_double_inside_the_first_window(fresh_tables, p):
+    # F_i = 2^(i-2) for 2 <= i <= p + 1, and F_(p+2) sums all of them but F_1
+    table = StepFibTable(p)
+    last = min(p + 1, 20000)
+    for i in sorted({2, 3, max(2, last // 2), last - 1, last}):
+        assert table.fib(i) == 2 ** (i - 2)
+        assert table.prefix_sum(i) == t_value(p, i) == 2 ** (i - 1)
+    if p < 20000:
+        assert table.fib(p + 2) == 2**p - 1
+        assert t_value(p, p + 2) == 2 ** (p + 1) - 1
+
+
 def _constants_fib_cli():
     res = CliRunner().invoke(cli, ["constants", "fib", "--p", "10000000", "--i", "1"])
     assert res.exit_code == 0, res.output
