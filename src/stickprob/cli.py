@@ -17,15 +17,19 @@ Exact values cross this boundary as num/den strings or {"num", "den"}
 objects, never floats.  Reports are JSON on stdout (CSV for tables on
 request).  Exit status: 0 success, 1 verify found a failing identity,
 2 usage error (an input outside a formula's domain or its size guards, a
-Monte Carlo row too wide for the sub-block buffers, or output holding an
-integer past CPython's int->str digit limit), 3 no closed form exists for
-the request: pa beyond quadrilaterals with n > p (n <= p is vacuously 1 at
-every p), or an (event, model) pair without one, such as pa or pr under
-any model but pickup.
+Monte Carlo row too wide for the sub-block buffers, output holding an
+integer past CPython's int->str digit limit, or Monte Carlo without an
+importable numpy), 3 no closed form exists for the request: pa beyond
+quadrilaterals with n > p (n <= p is vacuously 1 at every p), or an
+(event, model) pair without one, such as pa or pr under any model but
+pickup.
 The exit-3 message names the Monte Carlo fallback, ``simulate --event E
---model M``.  Ranges use inclusive lo:hi syntax.  The only environment
-variable honoured is STICKPROB_WORKERS, the default worker count for
-simulation.
+--model M``.  Only ``simulate`` and ``verify --suite mc|all`` load numpy,
+when they run: ``compute``, ``table``, ``constants`` and ``verify --suite
+exact`` never do.  Where numpy cannot be imported, the Monte Carlo
+commands exit 2 with one line on stderr that names it.  Ranges use
+inclusive lo:hi syntax.  The only environment variable honoured is
+STICKPROB_WORKERS, the default worker count for simulation.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ import click
 
 from .closedform import ExactProb, closed_form, is_vacuous
 from .errors import DomainError, ResourceLimitError, UnsupportedFormulaError, require_truncation
-from .montecarlo import estimate
 from .constraints import BOUND_MODELS, LinearForm, m_constants, max_length_form, s_constants
 from .sequences import fib
 from .specs import EVENTS, MODELS, DistributionSpec, EventSpec
@@ -116,8 +119,9 @@ def _emit(command: str, inputs: dict, **body) -> None:
 
 class _Cli(click.Group):
     """The one place where package errors become exit statuses: a value
-    outside a formula's domain is a usage error (2), a request without a
-    closed form is 3.  Anything else, ValueError included, propagates."""
+    outside a formula's domain is a usage error (2), and so is Monte Carlo
+    without an importable numpy; a request without a closed form is 3.
+    Anything else, ValueError included, propagates."""
 
     def invoke(self, ctx: click.Context):
         try:
@@ -127,6 +131,12 @@ class _Cli(click.Group):
         except UnsupportedFormulaError as exc:
             click.echo(str(exc), err=True)
             ctx.exit(3)
+        except ImportError as exc:
+            if exc.name != "numpy":
+                raise
+            click.echo(f"Error: Monte Carlo needs numpy, which could not be imported: {exc}",
+                       err=True)
+            ctx.exit(2)
 
 
 @click.group(cls=_Cli)
@@ -203,6 +213,8 @@ def simulate(event: str, model: str, p: int, n: int, trials: int, seed: int,
     if rate is not None and model != "exponential":
         raise click.UsageError("--rate only applies to the exponential model")
     dist = DistributionSpec(model, a=a_value or 0, rate=1.0 if rate is None else rate)
+    from .montecarlo import estimate  # loads numpy, which no other command needs
+
     mc = estimate(EventSpec(EVENTS[event], p), dist, n, trials, seed, workers)
 
     try:

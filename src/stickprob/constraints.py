@@ -31,10 +31,11 @@ integer core evaluates it: a prefix becomes integer numerators over one
 common denominator den, and the interval of the next stick is
 [lo / den, top / (m * den)] with lo and top plain integer dot products
 over the forms' coefficients.  Sampling, validation and the telescoping
-check compare and draw on those integers and build Fractions only for
+spot check compare and draw on those integers and build Fractions only for
 what they return or report.  ``bounds`` is the Fraction view of the same
 core and reads exact lengths only: a float raises rather than give an
-inexact bound.
+inexact bound.  ``max_min_identity_mismatches`` proves the telescoping
+identity on the table's forms themselves, for every prefix at once.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ __all__ = [
     "bounds",
     "validate_prefix",
     "check_max_min_identity",
+    "max_min_identity_mismatches",
     "sample_feasible_prefix",
 ]
 
@@ -324,6 +326,13 @@ def validate_prefix(
     return vals
 
 
+def _last_telescoping_stick(n: int, model: str) -> int:
+    """The telescoping identity reaches stick n in the pick-up model but only
+    stick n-1 in the broken model: the last broken piece is determined by
+    the others, so its interval does not telescope."""
+    return n if model == "pickup" else n - 1
+
+
 def check_max_min_identity(
     p: int,
     n: int,
@@ -339,16 +348,18 @@ def check_max_min_identity(
     feasible prefix.  The right-hand factor subtracts the realized
     l_{i-1}, which is what the two pinned length sequences in the
     derivation actually equate.  Valid for i up to n in the pick-up model
-    and up to n-1 in the broken model (the last broken piece is determined
-    by the others, so its interval does not telescope).
+    and up to n-1 in the broken model.
 
     Both sides are compared multiplied through by the prefix's common
     denominator den, as the integers top_i - m_i * lo_i and
-    top_{i-1} - m_{i-1} * l_{i-1} * den, so the test stays exact.
+    top_{i-1} - m_{i-1} * l_{i-1} * den, so the test stays exact.  This is
+    the spot check on one sampled prefix, through the integer evaluation
+    core; ``max_min_identity_mismatches`` proves the identity for every
+    prefix at once, on the forms themselves.
     """
     vals = validate_prefix(p, n, lengths_prefix, model)
     i = len(vals) + 1
-    top = n if model == "pickup" else n - 1
+    top = _last_telescoping_stick(n, model)
     if not 2 <= i <= top:
         raise DomainError(
             f"identity covers prefixes of 1..{top - 1} lengths, got {len(vals)}"
@@ -358,6 +369,35 @@ def check_max_min_identity(
     lo_i, top_i, m_i = _interval(table, nums, den)
     _, top_prev, m_prev = _interval(table, nums[:-1], den)
     return top_i - m_i * lo_i == top_prev - m_prev * nums[-1]
+
+
+def max_min_identity_mismatches(
+    p: int, n: int, model: str = "pickup"
+) -> tuple[int, ...]:
+    """The sticks i at which the identity of ``check_max_min_identity``
+    fails as an identity of affine forms over l_1..l_{i-1}, read off the
+    bound table; empty when it holds at every feasible prefix.
+
+    With l_i_max = (1 - N_i) / m_i, the left side is the form
+    1 - N_i - m_i * Min_i and the right side 1 - N_{i-1} - m_{i-1} * l_{i-1},
+    so stick i passes when N_i + m_i * Min_i equals N_{i-1} with m_{i-1}
+    appended as the coefficient of l_{i-1}, constants included.  Equal forms
+    make the identity hold at every prefix; on a feasible region with an
+    interior, unequal ones make it fail somewhere.
+    """
+    mins, denominators, numerators = _bound_table(p, n, model)
+    bad = []
+    for i in range(2, _last_telescoping_stick(n, model) + 1):
+        cur, prev = i - 1, i - 2  # table rows of sticks i and i-1
+        m = denominators[cur]
+        lhs = (
+            tuple(a + m * b for a, b in zip(numerators[cur].coeffs, mins[cur].coeffs)),
+            numerators[cur].constant + m * mins[cur].constant,
+        )
+        rhs = numerators[prev].coeffs + (denominators[prev],), numerators[prev].constant
+        if lhs != rhs:
+            bad.append(i)
+    return tuple(bad)
 
 
 def sample_feasible_prefix(

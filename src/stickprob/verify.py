@@ -6,6 +6,12 @@ against the symbolic integrator, predicate algebra), and ``mc`` shakes
 each (event, model, p, n) cell of one grid of closed forms against seeded
 Monte Carlo, cell k on seed + k.  The CLI ``verify`` command renders the
 results as JSON and exits nonzero if anything failed.
+
+The interval telescoping identity is proved on the bound forms, as equal
+coefficient vectors over a grid of (p, n) for both bound models, and
+spot-checked on a few sampled feasible prefixes.  Only the ``mc`` suite
+imports ``montecarlo``, and numpy with it, so the exact suite runs without
+numpy.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from fractions import Fraction
 from math import factorial, gcd
 from random import Random
 
-from . import constraints, montecarlo, oracle
+from . import constraints, oracle
 from .closedform import (
     ExactProb,
     closed_form,
@@ -32,11 +38,11 @@ from .constraints import (
     m_constants,
     m_constants_via_jacobian,
     max_length_form,
+    max_min_identity_mismatches,
     s_constants,
     sample_feasible_prefix,
 )
-from .errors import DomainError
-from .montecarlo import estimate
+from .errors import DomainError, InfeasiblePrefixError
 from .sequences import fib, fib_prefix_sum, t_value
 from .specs import EVENTS, NO_POLYGON, RANDOM_SUBSET_POLYGON, DistributionSpec, EventSpec
 
@@ -49,7 +55,7 @@ __all__ = [
 ]
 
 MC_BASE_SEED = 20250810
-_PREFIXES_PER_SYSTEM = 200  # feasible prefixes per (p, n) in the telescoping check
+_SPOT_PREFIXES = 3  # sampled prefixes per (model, p) in the telescoping check
 
 
 @dataclass(frozen=True)
@@ -188,15 +194,28 @@ def check_denominators_nonincreasing() -> CheckResult:
 
 
 def check_interval_telescoping_identity() -> CheckResult:
+    # proved on the forms for every (model, p, n) of the grid ...
+    bad = [
+        f"{model} p={p} n={n} i={i}"
+        for model in constraints.BOUND_MODELS
+        for p in range(2, 7)
+        for n in range(p + 1, 13)
+        for i in max_min_identity_mismatches(p, n, model)
+    ]
+    # ... and spot-checked through the integer core on sampled prefixes
     rng = Random(1105)
-    bad = []
-    for p in (2, 3, 4):
-        for n in range(p + 1, 9):
-            for _ in range(_PREFIXES_PER_SYSTEM):
-                k = rng.randint(1, n - 1)
-                prefix = sample_feasible_prefix(p, n, k, rng)
-                if not check_max_min_identity(p, n, prefix):
-                    bad.append(f"p={p} n={n} prefix={prefix}")
+    for model in constraints.BOUND_MODELS:
+        for p in (2, 3, 4):
+            n = p + 3
+            longest = constraints._last_telescoping_stick(n, model) - 1  # prefix length
+            for _ in range(_SPOT_PREFIXES):
+                prefix = sample_feasible_prefix(p, n, rng.randint(1, longest), rng, model)
+                try:
+                    holds = check_max_min_identity(p, n, prefix, model)
+                except InfeasiblePrefixError:  # a draw outside its own bounds
+                    holds = False
+                if not holds:
+                    bad.append(f"{model} p={p} n={n} prefix={prefix}")
     return _result("interval_telescoping_identity", bad)
 
 
@@ -423,6 +442,8 @@ def run_concordance(
     trials before it counts as a failure; a genuine defect will not survive
     the tighter interval, while an unlucky draw almost always will.
     """
+    from .montecarlo import estimate
+
     results = []
     for k, (event, model, p, n) in enumerate(_CONCORDANCE_CELLS):
         a = _CONCORDANCE_TRUNCATION if model == "truncated" else None
@@ -452,6 +473,8 @@ def run_concordance(
 
 
 def check_workers_bit_identical(trials: int, seed: int) -> CheckResult:
+    from .montecarlo import estimate
+
     bad = []
     cases = [
         (EventSpec(NO_POLYGON, 2), DistributionSpec.uniform01(), 5),
@@ -467,6 +490,8 @@ def check_workers_bit_identical(trials: int, seed: int) -> CheckResult:
 
 
 def check_exponential_rate_invariant(trials: int, seed: int) -> CheckResult:
+    from .montecarlo import estimate
+
     event = EventSpec(NO_POLYGON, 2)
     lo = estimate(event, DistributionSpec.exponential(1.0), 4, trials, seed)
     hi = estimate(event, DistributionSpec.exponential(5.0), 4, trials, seed + 1)
@@ -480,6 +505,8 @@ def check_exponential_rate_invariant(trials: int, seed: int) -> CheckResult:
 
 
 def check_predicate_scale_invariance(seed: int) -> CheckResult:
+    from . import montecarlo
+
     rng = Random(seed)
     bad = []
     for _ in range(500):
@@ -496,6 +523,8 @@ def check_predicate_scale_invariance(seed: int) -> CheckResult:
 
 
 def check_events_mutually_exclusive(seed: int) -> CheckResult:
+    from . import montecarlo
+
     rng = Random(seed)
     bad = []
     for _ in range(500):
@@ -526,15 +555,20 @@ def run_suite(
 ) -> list[CheckResult]:
     if suite not in ("all", "exact", "mc"):
         raise ValueError(f"unknown suite {suite!r}")
+    monte_carlo = suite in ("all", "mc")
+    if monte_carlo:
+        # numpy that cannot be imported, and bad run arguments (a usage
+        # error), raise before any check runs; the concordance cells draw
+        # seeds seed .. seed + len(cells) - 1
+        from . import montecarlo
+
+        montecarlo._check_run(trials, workers, seed)
+        montecarlo._check_run(trials, workers, seed + len(_CONCORDANCE_CELLS) - 1)
     results: list[CheckResult] = []
     if suite in ("all", "exact"):
         for check in EXACT_CHECKS:
             results += _guarded(check)
-    if suite in ("all", "mc"):
-        # bad run arguments are a usage error, raised before any check runs;
-        # the concordance cells draw seeds seed .. seed + len(cells) - 1
-        montecarlo._check_run(trials, workers, seed)
-        montecarlo._check_run(trials, workers, seed + len(_CONCORDANCE_CELLS) - 1)
+    if monte_carlo:
         results += _guarded(check_predicate_scale_invariance, seed)
         results += _guarded(check_events_mutually_exclusive, seed + 1)
         results += _guarded(check_workers_bit_identical, min(trials, 10**6), seed)

@@ -413,16 +413,32 @@ def _raise_first_coefficient_of_stick_3(max_length_form):
     return mutated
 
 
+def _raise_broken_coefficient_beyond_sampling(max_length_form):
+    # stick 4's l_1 coefficient at broken p=5, n=9: no sampled prefix reaches it
+    def mutated(p, n, i, model="pickup"):
+        den, form = max_length_form(p, n, i, model)
+        if model == "broken" and (p, n, i) == (5, 9, 4):
+            form = LinearForm(form.arity, (form.coeffs[0] + 1,) + form.coeffs[1:])
+        return den, form
+    return mutated
+
+
 class TestTelescopingCheckCatchesMutations:
     """A wrong bound denominator or numerator coefficient makes the exact
-    suite's telescoping check fail, at the first prefix it reaches."""
+    suite's telescoping check fail, and no other check, at the two sticks
+    whose form comparison reads it: the identity at stick i reads stick i's
+    forms and stick i-1's."""
 
     @pytest.mark.parametrize(("name", "mutate", "detail"), [
         ("m_constants", _raise_interior_m,
-         "l_2 = 2595/8192 outside [55/128, 73/256] (pickup, p=2, n=3)"),
+         "pickup p=2 n=3 i=2; pickup p=2 n=3 i=3; pickup p=2 n=4 i=2; "
+         "pickup p=2 n=4 i=3; and 80 more"),
         ("max_length_form", _raise_first_coefficient_of_stick_3,
-         "l_3 = 757/1536 outside [59/96, 37/96] (pickup, p=2, n=4)"),
-    ], ids=["interior_m", "stick_3_coefficient"])
+         "pickup p=2 n=4 i=3; pickup p=2 n=4 i=4; pickup p=2 n=5 i=3; "
+         "pickup p=2 n=5 i=4; and 159 more"),
+        ("max_length_form", _raise_broken_coefficient_beyond_sampling,
+         "broken p=5 n=9 i=4; broken p=5 n=9 i=5"),
+    ], ids=["interior_m", "stick_3_coefficient", "broken_p5_coefficient"])
     def test_exact_suite_reports_the_mutation(self, monkeypatch, name, mutate, detail):
         monkeypatch.setattr(constraints, name, mutate(getattr(constraints, name)))
         constraints._bound_table.cache_clear()
@@ -430,10 +446,9 @@ class TestTelescopingCheckCatchesMutations:
             results = verify.run_suite("exact")
         finally:
             constraints._bound_table.cache_clear()
-        checks = {r.name: r for r in results}
-        failed = checks["interval_telescoping_identity"]
-        assert not failed.passed
-        assert failed.detail == f"raised InfeasiblePrefixError: {detail}"
+        failed = [r for r in results if not r.passed]
+        assert [r.name for r in failed] == ["interval_telescoping_identity"]
+        assert failed[0].detail == detail
 
 
 class TestFeasibleSampling:

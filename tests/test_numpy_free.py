@@ -3,11 +3,17 @@
 Only ``stickprob.montecarlo`` imports numpy.  The closed forms, the
 constants, the spec validation and the symbolic oracle are exercised in a
 fresh interpreter, once with numpy blocked from importing and once with it
-importable but expected to stay unloaded.  This file itself imports no
+importable but expected to stay unloaded.  So is the command line: every
+``compute``, ``table``, ``constants`` and ``verify --suite exact`` request
+pinned in ``test_cli_golden`` prints its golden bytes without loading
+numpy, and the Monte Carlo commands, which do load it, exit 2 with one
+line on stderr where it cannot be imported.  This file itself imports no
 numpy, so it runs where numpy is not installed.
 """
 
+import hashlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -16,6 +22,7 @@ import pytest
 
 import stickprob
 from stickprob import closedform, constraints, specs
+from test_cli_golden import GOLDEN
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(stickprob.__file__)))
 
@@ -54,23 +61,104 @@ print(sys.modules.get("numpy") is not None)
 """
 
 
-def _numpy_loaded_after_exact_calls(prelude: str) -> bool:
+# a None entry makes every "import numpy" raise ImportError
+_BLOCK_NUMPY = "import sys; sys.modules['numpy'] = None\n"
+
+# each argv through the CLI in process; prints whether numpy got loaded and,
+# per argv, [exit code, sha256 of stdout, stderr]
+_CLI_REQUESTS = """
+import hashlib, io, json, sys
+from stickprob.cli import cli
+
+runs = {}
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    sys.stdout, sys.stderr = out, err
+    code = 0
+    try:
+        cli.main(args=argv.split(), prog_name="stickprob")
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
+    runs[argv] = [code, hashlib.sha256(out.getvalue().encode()).hexdigest(), err.getvalue()]
+print(json.dumps({"numpy": sys.modules.get("numpy") is not None, "runs": runs}))
+"""
+
+_EXACT_ARGV = [
+    argv for argv in GOLDEN
+    if argv.split()[0] in ("compute", "table", "constants") or argv == "verify --suite exact"
+]
+_MC_ARGV = [
+    argv for argv in GOLDEN
+    if (argv.split()[0] == "simulate" and GOLDEN[argv][0] == 0) or argv.startswith("verify --suite mc")
+]
+_EMPTY = hashlib.sha256(b"").hexdigest()
+
+
+def _python(code: str, *args: str) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-c", prelude + _EXACT_CALLS],
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
     )
+
+
+def _numpy_loaded_after_exact_calls(prelude: str) -> bool:
+    proc = _python(prelude + _EXACT_CALLS)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip() == "True"
 
 
+def _cli_requests(prelude: str, argvs: list[str]) -> tuple[bool, dict]:
+    proc = _python(prelude + _CLI_REQUESTS, json.dumps(argvs))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    return report["numpy"], report["runs"]
+
+
+def _assert_golden(runs: dict) -> None:
+    for argv, (code, digest, stderr) in runs.items():
+        assert (code, digest) == GOLDEN[argv], f"{argv}: {stderr}"
+
+
 def test_exact_path_runs_with_numpy_blocked():
-    # a None entry makes every "import numpy" raise ImportError
-    assert not _numpy_loaded_after_exact_calls("import sys; sys.modules['numpy'] = None")
+    assert not _numpy_loaded_after_exact_calls(_BLOCK_NUMPY)
 
 
 def test_exact_path_leaves_numpy_unloaded():
     assert not _numpy_loaded_after_exact_calls("")
+
+
+def test_exact_commands_leave_numpy_unloaded():
+    assert "verify --suite exact" in _EXACT_ARGV
+    loaded, runs = _cli_requests("", _EXACT_ARGV)
+    assert not loaded
+    _assert_golden(runs)
+
+
+def test_exact_commands_print_their_goldens_with_numpy_blocked():
+    loaded, runs = _cli_requests(_BLOCK_NUMPY, _EXACT_ARGV)
+    assert not loaded
+    _assert_golden(runs)
+
+
+def test_monte_carlo_commands_exit_2_with_numpy_blocked():
+    argvs = _MC_ARGV + ["verify --suite all"]
+    loaded, runs = _cli_requests(_BLOCK_NUMPY, argvs)
+    assert not loaded
+    for argv, (code, digest, stderr) in runs.items():
+        assert code == 2, argv
+        assert digest == _EMPTY, f"{argv}: stdout is not empty"
+        assert stderr.count("\n") == 1 and "numpy" in stderr, f"{argv}: {stderr!r}"
+
+
+@pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy is not installed")
+def test_monte_carlo_commands_load_numpy():
+    assert "verify --suite mc --trials 20000" in _MC_ARGV
+    loaded, runs = _cli_requests("", _MC_ARGV)
+    assert loaded
+    _assert_golden(runs)
 
 
 @pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy is not installed")
