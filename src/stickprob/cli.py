@@ -98,7 +98,8 @@ def _form_payload(form: LinearForm) -> dict:
     return {
         "arity": form.arity,
         "coeffs": list(form.coeffs),
-        "constant": str(form.constant),
+        # schema 1 carries a constant; no bound form has one, so it is always 0
+        "constant": "0",
         "text": str(form),
     }
 

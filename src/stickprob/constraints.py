@@ -7,11 +7,13 @@ stick from below by a linear form in the shorter sticks, and from above by
 
     l_i_max = (1 - f_i(l_1, ..., l_{i-1})) / m_i
 
-with integer coefficients in f_i and a positive integer m_i.  The pick-up
-sticks model (independent lengths capped at 1) produces the m_i; the
-broken stick model (pieces of a unit stick, so the lengths sum to 1)
-produces analogous constants s_i with forms g_i.  Products of the
-reciprocal denominators are exactly the closed-form probabilities.
+with integer coefficients in f_i and a positive integer m_i.  Every form
+is linear with no constant term, so a ``LinearForm`` holds only its
+coefficients.  The pick-up sticks model (independent lengths capped at 1)
+produces the m_i; the broken stick model (pieces of a unit stick, so the
+lengths sum to 1) produces analogous constants s_i with forms g_i, and
+caps stick n at 1 - (l_1 + ... + l_{n-1}).  Products of the reciprocal
+denominators are exactly the closed-form probabilities.
 
 Three derivations of the same denominators live here on purpose:
 
@@ -80,25 +82,18 @@ def _check_model(model: str) -> None:
 
 @dataclass(frozen=True)
 class LinearForm:
-    """constant + sum(coeffs[j] * l_{j+1}) over exactly ``arity`` lengths."""
+    """sum(coeffs[j] * l_{j+1}) over exactly len(coeffs) lengths; a cap's
+    constant 1 lives in the interval arithmetic, not in the form."""
 
-    arity: int
     coeffs: tuple[int, ...]
-    constant: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        if self.arity < 0:
-            raise DomainError(f"arity must be >= 0, got {self.arity}")
-        if len(self.coeffs) != self.arity:
-            raise DomainError(
-                f"{len(self.coeffs)} coefficients for arity {self.arity}"
-            )
         if any(not isinstance(c, int) for c in self.coeffs):
             raise DomainError("coefficients must be integers")
 
-    @classmethod
-    def zero(cls, arity: int = 0) -> "LinearForm":
-        return cls(arity, (0,) * arity)
+    @property
+    def arity(self) -> int:
+        return len(self.coeffs)
 
     def evaluate(self, lengths: Sequence[Rational]) -> Fraction:
         """The exact value at Fraction (or int) lengths; a float raises."""
@@ -106,7 +101,7 @@ class LinearForm:
             raise DomainError(
                 f"form reads {self.arity} lengths, got {len(lengths)}"
             )
-        total = self.constant
+        total = Fraction(0)
         for c, x in zip(self.coeffs, lengths):
             if c:
                 total += c * x
@@ -114,17 +109,12 @@ class LinearForm:
             raise DomainError("lengths must be Fractions or ints, not floats")
         return total
 
-    def is_zero(self) -> bool:
-        return self.constant == 0 and not any(self.coeffs)
-
     def __str__(self) -> str:
         parts = []
         for j in range(self.arity, 0, -1):
             c = self.coeffs[j - 1]
             if c:
                 parts.append(f"l{j}" if c == 1 else f"{c}*l{j}")
-        if self.constant:
-            parts.append(str(self.constant))
         return " + ".join(parts) if parts else "0"
 
 
@@ -139,7 +129,7 @@ def min_length_form(p: int, i: int) -> LinearForm:
     elif i >= p + 1:
         for j in range(1, p + 1):
             coeffs[i - j - 1] = 1  # sum of the p previous sticks
-    return LinearForm(i - 1, tuple(coeffs))
+    return LinearForm(tuple(coeffs))
 
 
 @lru_cache(maxsize=None)
@@ -188,8 +178,8 @@ def max_length_form(
     sticks i..n add up (the running sum) and every earlier stick picks up
     one extra unit coefficient from the total.
 
-    Stick n itself needs no form (its cap is the constant 1) and is
-    rejected here.
+    Stick n itself needs no chain (its cap is 1, or the rest of the unit
+    stick) and is rejected here.
     """
     _check_model(model)
     require_subset(p, n)
@@ -201,7 +191,7 @@ def max_length_form(
     coeffs = (0,) * (i - width) + acc[:0:-1]  # acc[t] multiplies l_{i-t}
     if model == "broken":
         coeffs = tuple(c + 1 for c in coeffs)
-    return acc[0], LinearForm(i - 1, coeffs)
+    return acc[0], LinearForm(coeffs)
 
 
 def _tail_corrected(term, p: int, n: int, count: int) -> tuple[int, ...]:
@@ -260,7 +250,8 @@ def _bound_table(
 
     Denominators come from the closed forms; numerator forms come from the
     vector route.  The two routes agree exactly (verified elsewhere), so
-    mixing them is safe.
+    mixing them is safe.  Stick n is capped at 1 by pick-up sticks and at
+    1 - (l_1 + ... + l_{n-1}) by the unit total of the broken stick.
     """
     _check_model(model)
     require_subset(p, n)
@@ -270,7 +261,8 @@ def _bound_table(
         denominators = s_constants(p, n) + (1,)
     mins = tuple(min_length_form(p, i) for i in range(1, n + 1))
     numerators = tuple(max_length_form(p, n, i, model)[1] for i in range(1, n))
-    return mins, denominators, numerators + (LinearForm.zero(n - 1),)
+    last = LinearForm((int(model == "broken"),) * (n - 1))
+    return mins, denominators, numerators + (last,)
 
 
 def _interval(table: tuple, nums: Sequence[int], den: int) -> tuple[int, int, int]:
@@ -380,22 +372,19 @@ def max_min_identity_mismatches(
 
     With l_i_max = (1 - N_i) / m_i, the left side is the form
     1 - N_i - m_i * Min_i and the right side 1 - N_{i-1} - m_{i-1} * l_{i-1},
-    so stick i passes when N_i + m_i * Min_i equals N_{i-1} with m_{i-1}
-    appended as the coefficient of l_{i-1}, constants included.  Equal forms
-    make the identity hold at every prefix; on a feasible region with an
-    interior, unequal ones make it fail somewhere.
+    so stick i passes when the coefficients of N_i + m_i * Min_i equal
+    those of N_{i-1} with m_{i-1} appended as the coefficient of l_{i-1}.
+    Both sides carry the same constant 1, since no form has a constant
+    term.  Equal forms make the identity hold at every prefix; on a
+    feasible region with an interior, unequal ones make it fail somewhere.
     """
     mins, denominators, numerators = _bound_table(p, n, model)
     bad = []
     for i in range(2, _last_telescoping_stick(n, model) + 1):
         cur, prev = i - 1, i - 2  # table rows of sticks i and i-1
         m = denominators[cur]
-        lhs = (
-            tuple(a + m * b for a, b in zip(numerators[cur].coeffs, mins[cur].coeffs)),
-            numerators[cur].constant + m * mins[cur].constant,
-        )
-        rhs = numerators[prev].coeffs + (denominators[prev],), numerators[prev].constant
-        if lhs != rhs:
+        lhs = tuple(a + m * b for a, b in zip(numerators[cur].coeffs, mins[cur].coeffs))
+        if lhs != numerators[prev].coeffs + (denominators[prev],):
             bad.append(i)
     return tuple(bad)
 

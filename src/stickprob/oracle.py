@@ -19,7 +19,7 @@ with step-Fibonacci numbers, giving a second, algebra-only check.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Iterable, Iterator, Mapping
 
 from .closedform import ExactProb, RationalLike
@@ -28,7 +28,6 @@ from .errors import DomainError, ResourceLimitError, require_p, require_subset
 from .errors import require_truncation
 
 __all__ = [
-    "DEFAULT_SIZE_GUARD",
     "MultiPoly",
     "integration_chain",
     "symbolic_pn_pickup",
@@ -37,7 +36,9 @@ __all__ = [
     "r_vector",
 ]
 
-DEFAULT_SIZE_GUARD = 8
+# the most terms an integrand may reach; (2, 32), (3, 15), (4, 12) and
+# (5..7, 11) are the largest systems inside it, about a second each
+TERM_LIMIT = 500
 
 
 class MultiPoly:
@@ -137,7 +138,7 @@ class MultiPoly:
 
 def _form_poly(n: int, form: LinearForm) -> MultiPoly:
     """A bound form as an affine polynomial in l_1..l_n."""
-    return MultiPoly.affine(n, form.constant, dict(enumerate(form.coeffs)))
+    return MultiPoly.affine(n, 0, dict(enumerate(form.coeffs)))
 
 
 def _upper_bound_poly(p: int, n: int, i: int) -> MultiPoly:
@@ -156,20 +157,32 @@ def _integrate(
     return anti.substitute(var, upper) - anti.substitute(var, lower)
 
 
-def integration_chain(
-    p: int, n: int, size_guard: int = DEFAULT_SIZE_GUARD
-) -> Iterator[tuple[int, MultiPoly]]:
+def _term_count(p: int, n: int, i: int) -> int:
+    """The number of terms left once sticks n..i are integrated out.
+
+    The integrand then reads only the v = min(p, i-1) sticks below i (the
+    window of their bounds), and holds every monomial in them of total
+    degree at most n-i+1: C(n-i+1+v, v) terms.
+    """
+    v = min(p, i - 1)
+    return comb(n - i + 1 + v, v)
+
+
+def integration_chain(p: int, n: int) -> Iterator[tuple[int, MultiPoly]]:
     """Integrate sticks n, n-1, ..., 2 out of the unit integrand.
 
     Yields (i, poly) after integrating stick i; poly then depends on
     l_1..l_{i-1} only.  The final yield is the univariate polynomial in
-    l_1 whose last integral gives the probability (up to n!).
+    l_1 whose last integral gives the probability (up to n!).  Refuses
+    with ``ResourceLimitError``, before the first step, when some step
+    would hold more than ``TERM_LIMIT`` terms.
     """
     require_subset(p, n)
-    if n > size_guard:
+    terms = max(_term_count(p, n, i) for i in range(2, n + 1))
+    if terms > TERM_LIMIT:
         raise ResourceLimitError(
-            f"n = {n} exceeds the size guard {size_guard}; the term count "
-            "grows factorially, raise the guard explicitly to proceed"
+            f"symbolic integration at p = {p}, n = {n} would hold {terms} "
+            f"terms, more than the limit of {TERM_LIMIT}"
         )
     poly = MultiPoly.constant(n, 1)
     for i in range(n, 1, -1):
@@ -178,19 +191,12 @@ def integration_chain(
         yield i, poly
 
 
-def symbolic_pn_pickup(
-    p: int, n: int, size_guard: int = DEFAULT_SIZE_GUARD
-) -> ExactProb:
+def symbolic_pn_pickup(p: int, n: int) -> ExactProb:
     """PN for pick-up sticks by direct iterated integration (a = 0)."""
-    return symbolic_pn_truncated(p, n, 0, size_guard)
+    return symbolic_pn_truncated(p, n, 0)
 
 
-def symbolic_pn_truncated(
-    p: int,
-    n: int,
-    a: RationalLike,
-    size_guard: int = DEFAULT_SIZE_GUARD,
-) -> ExactProb:
+def symbolic_pn_truncated(p: int, n: int, a: RationalLike) -> ExactProb:
     """PN for lengths uniform on [a, 1], by the same iterated integration.
 
     The last integral, over the shortest stick, runs from ``a`` instead of
@@ -199,7 +205,7 @@ def symbolic_pn_truncated(
     """
     a = require_truncation(a)
     final = None
-    for _, poly in integration_chain(p, n, size_guard):
+    for _, poly in integration_chain(p, n):
         final = poly
     upper = _upper_bound_poly(p, n, 1)
     if a >= upper.constant_value():
@@ -208,9 +214,7 @@ def symbolic_pn_truncated(
     return ExactProb.from_fraction(factorial(n) * volume / (1 - a) ** n)
 
 
-def intermediates_vanish_at_max(
-    p: int, n: int, size_guard: int = DEFAULT_SIZE_GUARD
-) -> bool:
+def intermediates_vanish_at_max(p: int, n: int) -> bool:
     """Check that every partial integral collapses to zero when the next
     stick down is pushed to its own maximum.
 
@@ -218,7 +222,7 @@ def intermediates_vanish_at_max(
     configuration ending at length 1, so the integral over them has an
     empty interior; the partial results must vanish there identically.
     """
-    for i, poly in integration_chain(p, n, size_guard):
+    for i, poly in integration_chain(p, n):
         pinned = poly.substitute(i - 2, _upper_bound_poly(p, n, i - 1))
         if not pinned.is_zero():
             return False

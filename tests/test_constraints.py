@@ -77,43 +77,32 @@ def test_subset_rule_has_one_message(site):
 
 class TestLinearForm:
     def test_evaluate(self):
-        form = LinearForm(3, (2, 0, 1), Fraction(1, 2))
-        assert form.evaluate([Fraction(1, 4), 5, Fraction(1, 3)]) == Fraction(4, 3)
+        form = LinearForm((2, 0, 1))
+        assert form.evaluate([Fraction(1, 4), 5, Fraction(1, 3)]) == Fraction(5, 6)
 
     def test_arity_mismatch(self):
-        form = LinearForm(2, (1, 1))
+        form = LinearForm((1, 1))
         with pytest.raises(DomainError):
             form.evaluate([1])
 
     def test_rejects_non_integer_coefficients(self):
         with pytest.raises(DomainError):
-            LinearForm(1, (Fraction(1, 2),))
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(DomainError):
-            LinearForm(2, (1,))
+            LinearForm((Fraction(1, 2),))
 
     def test_float_lengths_raise(self):
-        form = LinearForm(2, (1, 1))
+        form = LinearForm((1, 1))
         with pytest.raises(DomainError, match="not floats"):
             form.evaluate([Fraction(1, 4), 0.5])
 
     def test_str(self):
-        assert str(LinearForm(4, (1, 0, 2, 1))) == "l4 + 2*l3 + l1"
-        assert str(LinearForm.zero(3)) == "0"
-
-    def test_str_with_constant(self):
-        assert str(LinearForm(2, (3, 0), Fraction(1, 2))) == "3*l1 + 1/2"
-        assert str(LinearForm(0, (), Fraction(-2, 3))) == "-2/3"
-
-    def test_rejects_negative_arity(self):
-        with pytest.raises(DomainError, match="arity must be >= 0, got -1"):
-            LinearForm(-1, ())
+        assert str(LinearForm((1, 0, 2, 1))) == "l4 + 2*l3 + l1"
+        assert str(LinearForm((0, 0, 0))) == "0"
+        assert str(LinearForm(())) == "0"
 
 
 class TestMinLengthForm:
     def test_first_stick_unconstrained(self):
-        assert min_length_form(2, 1).is_zero()
+        assert min_length_form(2, 1) == LinearForm(())
 
     def test_window_sum(self):
         assert str(min_length_form(2, 5)) == "l4 + l3"
@@ -167,12 +156,12 @@ class TestMaxLengthForm:
     def test_fibonacci_shape(self):
         den, form = max_length_form(2, 5, 3)
         assert den == 2
-        assert form == LinearForm(2, (0, 1))
+        assert form == LinearForm((0, 1))
 
     def test_short_chain_for_first_stick(self):
         den, form = max_length_form(2, 4, 1)
         assert den == 3
-        assert form.is_zero()
+        assert form == LinearForm(())
 
     def test_terminal_window(self):
         den, _ = max_length_form(3, 5, 4)
@@ -198,7 +187,7 @@ class TestMaxLengthForm:
     def test_broken_small_case(self):
         den, form = max_length_form(2, 3, 2, "broken")
         assert den == 2
-        assert form == LinearForm(1, (2,))
+        assert form == LinearForm((2,))
 
 
 class TestConstants:
@@ -280,6 +269,21 @@ class TestConstraintSystem:
         lo, hi = bounds(2, 4, prefix)
         assert lo == Fraction(7, 10)
         assert hi == 1
+
+    def test_bounds_of_last_stick_broken(self):
+        # the unit total leaves stick 4 exactly 1 - (1/8 + 1/8 + 1/4)
+        prefix = (Fraction(1, 8), Fraction(1, 8), Fraction(1, 4))
+        assert bounds(2, 4, prefix, "broken") == (Fraction(3, 8), Fraction(1, 2))
+        assert validate_prefix(2, 4, prefix + (Fraction(1, 2),), "broken")
+        message = r"l_4 = 1 outside \[3/8, 1/2\] \(broken, p=2, n=4\)"
+        with pytest.raises(InfeasiblePrefixError, match=message):
+            validate_prefix(2, 4, prefix + (1,), "broken")
+        rng = Random(47)
+        for p, n in ((2, 4), (3, 6), (4, 7)):
+            prefix = sample_feasible_prefix(p, n, n - 1, rng, "broken")
+            _, hi = bounds(p, n, prefix, "broken")
+            assert hi == 1 - sum(prefix)
+            assert validate_prefix(p, n, prefix + (hi,), "broken")
 
     def test_bounds_are_fractions_for_int_prefixes(self):
         for model, cap in (("pickup", 1), ("broken", Fraction(1, 2))):
@@ -408,7 +412,7 @@ def _raise_first_coefficient_of_stick_3(max_length_form):
     def mutated(p, n, i, model="pickup"):
         den, form = max_length_form(p, n, i, model)
         if i == 3:
-            form = LinearForm(form.arity, (form.coeffs[0] + 1,) + form.coeffs[1:])
+            form = LinearForm((form.coeffs[0] + 1,) + form.coeffs[1:])
         return den, form
     return mutated
 
@@ -418,7 +422,7 @@ def _raise_broken_coefficient_beyond_sampling(max_length_form):
     def mutated(p, n, i, model="pickup"):
         den, form = max_length_form(p, n, i, model)
         if model == "broken" and (p, n, i) == (5, 9, 4):
-            form = LinearForm(form.arity, (form.coeffs[0] + 1,) + form.coeffs[1:])
+            form = LinearForm((form.coeffs[0] + 1,) + form.coeffs[1:])
         return den, form
     return mutated
 

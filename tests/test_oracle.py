@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -68,11 +69,9 @@ class TestSymbolicPickup:
                 assert symbolic_pn_pickup(p, n).fraction == pn_pickup(p, n).fraction
         assert symbolic_pn_pickup(4, 5).fraction == pn_pickup(4, 5).fraction
 
-    def test_size_guard(self):
-        with pytest.raises(ResourceLimitError):
-            symbolic_pn_pickup(2, 9)
-        # the guard is configuration, not a hard limit
-        assert symbolic_pn_pickup(2, 9, size_guard=9).fraction == pn_pickup(2, 9).fraction
+    @pytest.mark.parametrize(("p", "n"), [(2, 12), (3, 10)])
+    def test_matches_closed_form_past_n_8(self, p, n):
+        assert symbolic_pn_pickup(p, n).fraction == pn_pickup(p, n).fraction
 
     def test_rejects_vacuous_and_bad_p(self):
         with pytest.raises(DomainError):
@@ -102,6 +101,48 @@ class TestSymbolicTruncated:
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError, match=r"^truncation point a must be in .*, got 5/4$"):
             symbolic_pn_truncated(2, 3, Fraction(5, 4))
+
+    def test_matches_closed_form_past_n_8(self):
+        a = Fraction(1, 10)
+        assert (
+            symbolic_pn_truncated(2, 10, a).fraction
+            == pn_pickup_truncated(2, 10, a).fraction
+        )
+
+
+class TestTermLimit:
+    """After sticks n..i are integrated out, the integrand holds every
+    monomial of degree at most n-i+1 in the v = min(p, i-1) sticks below
+    i; the guard reads these binomials before the first step."""
+
+    def test_term_counts_are_binomials(self):
+        checked = 0
+        for p in range(2, 7):
+            for n in range(p + 1, 13):
+                if (p, n) in ((5, 12), (6, 12)):
+                    continue  # past the limit, see below
+                for i, poly in integration_chain(p, n):
+                    v = min(p, i - 1)
+                    assert len(poly.terms) == comb(n - i + 1 + v, v), (p, n, i)
+                    checked += 1
+        assert checked == 273
+
+    @pytest.mark.parametrize(
+        ("p", "n", "terms"),
+        [(2, 33, 528), (3, 16, 560), (4, 13, 715), (5, 12, 792), (6, 12, 924)],
+    )
+    def test_refuses_before_integrating(self, monkeypatch, p, n, terms):
+        def no_step(*args):
+            raise AssertionError("integrated past the limit")
+
+        monkeypatch.setattr(oracle, "_integrate", no_step)
+        with pytest.raises(ResourceLimitError, match=rf"would hold {terms} terms"):
+            symbolic_pn_pickup(p, n)
+
+    @pytest.mark.parametrize(("p", "n"), [(2, 32), (3, 15), (4, 12), (5, 11), (7, 11)])
+    def test_admits_the_largest_systems_inside(self, p, n):
+        i, _ = next(integration_chain(p, n))
+        assert i == n
 
 
 class TestVanishingIntermediates:
