@@ -26,7 +26,8 @@ pickup.
 The exit-3 message names the Monte Carlo fallback, ``simulate --event E
 --model M``.  Only ``simulate`` and ``verify --suite mc|all`` load numpy,
 when they run: ``compute``, ``table``, ``constants`` and ``verify --suite
-exact`` never do.  Where numpy cannot be imported, the Monte Carlo
+exact`` never do.  Likewise only ``verify`` loads the verification suite
+and the symbolic oracle.  Where numpy cannot be imported, the Monte Carlo
 commands exit 2 with one line on stderr that names it.  Ranges use
 inclusive lo:hi syntax.  The only environment variable honoured is
 STICKPROB_WORKERS, the default worker count for simulation.
@@ -45,10 +46,9 @@ import click
 
 from .closedform import ExactProb, closed_form, is_vacuous
 from .errors import DomainError, ResourceLimitError, UnsupportedFormulaError, require_truncation
-from .constraints import BOUND_MODELS, LinearForm, m_constants, max_length_form, s_constants
+from .constraints import BOUND_MODELS, m_constants, max_length_form, s_constants
 from .sequences import fib
-from .specs import EVENTS, MODELS, DistributionSpec, EventSpec
-from .verify import MC_BASE_SEED, run_suite
+from .specs import EVENTS, MC_BASE_SEED, MODELS, DistributionSpec, EventSpec
 
 SCHEMA_VERSION = 1
 
@@ -94,13 +94,19 @@ def _exact_payload(prob: ExactProb, digits: int) -> dict:
     }
 
 
-def _form_payload(form: LinearForm) -> dict:
+def _form_text(coeffs: tuple[int, ...]) -> str:
+    """A bound form as text, longest stick first: "l4 + 2*l3 + l1"."""
+    parts = [f"l{j}" if c == 1 else f"{c}*l{j}" for j, c in enumerate(coeffs, 1) if c]
+    return " + ".join(reversed(parts)) or "0"
+
+
+def _form_payload(coeffs: tuple[int, ...]) -> dict:
     return {
-        "arity": form.arity,
-        "coeffs": list(form.coeffs),
+        "arity": len(coeffs),
+        "coeffs": list(coeffs),
         # schema 1 carries a constant; no bound form has one, so it is always 0
         "constant": "0",
-        "text": str(form),
+        "text": _form_text(coeffs),
     }
 
 
@@ -356,7 +362,7 @@ def constants_emax(p: int, n: int, i: int, model: str) -> None:
         result = {
             "denominator": den,
             "numerator_form": _form_payload(form),
-            "text": f"l{i}_max = (1 - ({form})) / {den}",
+            "text": f"l{i}_max = (1 - ({_form_text(form)})) / {den}",
         }
     except ValueError as exc:
         raise _oversized(exc) from exc
@@ -377,6 +383,8 @@ def constants_emax(p: int, n: int, i: int, model: str) -> None:
 @_workers_option
 def verify(suite: str, trials: int, seed: int, workers: int) -> None:
     """Run the named identity checks; exit nonzero if any fail."""
+    from .verify import run_suite  # loads the oracle, which no other command needs
+
     results = run_suite(suite, trials=trials, seed=seed, workers=workers)
     passed = all(result.passed for result in results)
     _emit("verify", {"suite": suite, "trials": trials, "seed": seed, "workers": workers},

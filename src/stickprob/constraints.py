@@ -8,12 +8,12 @@ stick from below by a linear form in the shorter sticks, and from above by
     l_i_max = (1 - f_i(l_1, ..., l_{i-1})) / m_i
 
 with integer coefficients in f_i and a positive integer m_i.  Every form
-is linear with no constant term, so a ``LinearForm`` holds only its
-coefficients.  The pick-up sticks model (independent lengths capped at 1)
-produces the m_i; the broken stick model (pieces of a unit stick, so the
-lengths sum to 1) produces analogous constants s_i with forms g_i, and
-caps stick n at 1 - (l_1 + ... + l_{n-1}).  Products of the reciprocal
-denominators are exactly the closed-form probabilities.
+is linear with no constant term, so a form is just its tuple of integer
+coefficients (``Form``).  The pick-up sticks model (independent lengths
+capped at 1) produces the m_i; the broken stick model (pieces of a unit
+stick, so the lengths sum to 1) produces analogous constants s_i with
+forms g_i, and caps stick n at 1 - (l_1 + ... + l_{n-1}).  Products of the
+reciprocal denominators are exactly the closed-form probabilities.
 
 Three derivations of the same denominators live here on purpose:
 
@@ -43,7 +43,6 @@ identity on the table's forms themselves, for every prefix at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -55,7 +54,6 @@ from .sequences import fib, fib_prefix_sum
 
 __all__ = [
     "BOUND_MODELS",
-    "LinearForm",
     "min_length_form",
     "e_vector",
     "max_length_form",
@@ -73,6 +71,8 @@ __all__ = [
 BOUND_MODELS = ("pickup", "broken")
 
 Rational = Union[Fraction, int]
+# a bound form: coeffs[j] multiplies l_{j+1}
+Form = tuple[int, ...]
 
 
 def _check_model(model: str) -> None:
@@ -80,45 +80,7 @@ def _check_model(model: str) -> None:
         raise DomainError(f"model must be one of {BOUND_MODELS}, got {model!r}")
 
 
-@dataclass(frozen=True)
-class LinearForm:
-    """sum(coeffs[j] * l_{j+1}) over exactly len(coeffs) lengths; a cap's
-    constant 1 lives in the interval arithmetic, not in the form."""
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(not isinstance(c, int) for c in self.coeffs):
-            raise DomainError("coefficients must be integers")
-
-    @property
-    def arity(self) -> int:
-        return len(self.coeffs)
-
-    def evaluate(self, lengths: Sequence[Rational]) -> Fraction:
-        """The exact value at Fraction (or int) lengths; a float raises."""
-        if len(lengths) != self.arity:
-            raise DomainError(
-                f"form reads {self.arity} lengths, got {len(lengths)}"
-            )
-        total = Fraction(0)
-        for c, x in zip(self.coeffs, lengths):
-            if c:
-                total += c * x
-        if not isinstance(total, Fraction):
-            raise DomainError("lengths must be Fractions or ints, not floats")
-        return total
-
-    def __str__(self) -> str:
-        parts = []
-        for j in range(self.arity, 0, -1):
-            c = self.coeffs[j - 1]
-            if c:
-                parts.append(f"l{j}" if c == 1 else f"{c}*l{j}")
-        return " + ".join(parts) if parts else "0"
-
-
-def min_length_form(p: int, i: int) -> LinearForm:
+def min_length_form(p: int, i: int) -> Form:
     """Lower bound for stick i: zero, the previous stick, or the window sum."""
     require_p(p)
     if i < 1:
@@ -129,7 +91,7 @@ def min_length_form(p: int, i: int) -> LinearForm:
     elif i >= p + 1:
         for j in range(1, p + 1):
             coeffs[i - j - 1] = 1  # sum of the p previous sticks
-    return LinearForm(tuple(coeffs))
+    return tuple(coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -166,7 +128,7 @@ def e_vector(p: int, k: int) -> tuple[int, ...]:
 
 def max_length_form(
     p: int, n: int, i: int, model: str = "pickup"
-) -> tuple[int, LinearForm]:
+) -> tuple[int, Form]:
     """Upper bound data for stick i, as (denominator, numerator form), so
     that l_i_max = (1 - form(l_1, ..., l_{i-1})) / denominator.
 
@@ -191,7 +153,7 @@ def max_length_form(
     coeffs = (0,) * (i - width) + acc[:0:-1]  # acc[t] multiplies l_{i-t}
     if model == "broken":
         coeffs = tuple(c + 1 for c in coeffs)
-    return acc[0], LinearForm(coeffs)
+    return acc[0], coeffs
 
 
 def _tail_corrected(term, p: int, n: int, count: int) -> tuple[int, ...]:
@@ -245,7 +207,7 @@ def m_constants_via_jacobian(p: int, n: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _bound_table(
     p: int, n: int, model: str
-) -> tuple[tuple[LinearForm, ...], tuple[int, ...], tuple[LinearForm, ...]]:
+) -> tuple[tuple[Form, ...], tuple[int, ...], tuple[Form, ...]]:
     """(min forms, max denominators, max numerator forms) for sticks 1..n.
 
     Denominators come from the closed forms; numerator forms come from the
@@ -261,7 +223,7 @@ def _bound_table(
         denominators = s_constants(p, n) + (1,)
     mins = tuple(min_length_form(p, i) for i in range(1, n + 1))
     numerators = tuple(max_length_form(p, n, i, model)[1] for i in range(1, n))
-    last = LinearForm((int(model == "broken"),) * (n - 1))
+    last = (int(model == "broken"),) * (n - 1)
     return mins, denominators, numerators + (last,)
 
 
@@ -271,8 +233,8 @@ def _interval(table: tuple, nums: Sequence[int], den: int) -> tuple[int, int, in
     den: its interval is [lo / den, top / (m * den)]."""
     mins, denominators, numerators = table
     i = len(nums)
-    lo = sum(map(mul, mins[i].coeffs, nums))
-    top = den - sum(map(mul, numerators[i].coeffs, nums))
+    lo = sum(map(mul, mins[i], nums))
+    top = den - sum(map(mul, numerators[i], nums))
     return lo, top, denominators[i]
 
 
@@ -302,7 +264,8 @@ def bounds(
 def validate_prefix(
     p: int, n: int, prefix: Sequence[Rational], model: str = "pickup"
 ) -> tuple[Fraction, ...]:
-    """Check l_1..l_k each sit inside their bound interval; return Fractions."""
+    """Check l_1..l_k each sit inside their bound interval, and that all n
+    pieces of a broken stick total 1; return Fractions."""
     table = _bound_table(p, n, model)  # rejects a bad (p, n, model) for any prefix
     vals = tuple(Fraction(x) for x in prefix)
     if len(vals) > n:
@@ -315,6 +278,12 @@ def validate_prefix(
                 f"l_{j + 1} = {vals[j]} outside [{Fraction(lo, den)}, "
                 f"{Fraction(top, m * den)}] ({model}, p={p}, n={n})"
             )
+    # stick n's interval bounds it by the rest of the unit stick, but the
+    # unit total fixes it there
+    if model == "broken" and len(nums) == n and sum(nums) != den:
+        raise InfeasiblePrefixError(
+            f"pieces total {Fraction(sum(nums), den)}, not 1 ({model}, p={p}, n={n})"
+        )
     return vals
 
 
@@ -383,8 +352,8 @@ def max_min_identity_mismatches(
     for i in range(2, _last_telescoping_stick(n, model) + 1):
         cur, prev = i - 1, i - 2  # table rows of sticks i and i-1
         m = denominators[cur]
-        lhs = tuple(a + m * b for a, b in zip(numerators[cur].coeffs, mins[cur].coeffs))
-        if lhs != numerators[prev].coeffs + (denominators[prev],):
+        lhs = tuple(a + m * b for a, b in zip(numerators[cur], mins[cur]))
+        if lhs != numerators[prev] + (denominators[prev],):
             bad.append(i)
     return tuple(bad)
 

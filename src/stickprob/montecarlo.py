@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -303,6 +302,8 @@ def estimate(
     if workers == 1:
         successes = sum(map(run, spans))
     else:
+        from concurrent.futures import ThreadPoolExecutor  # only this path runs threads
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             successes = sum(pool.map(run, spans))
     p_hat = successes / trials

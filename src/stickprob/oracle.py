@@ -23,7 +23,7 @@ from math import comb, factorial
 from typing import Iterable, Iterator, Mapping
 
 from .closedform import ExactProb, RationalLike
-from .constraints import LinearForm, max_length_form, min_length_form
+from .constraints import max_length_form, min_length_form
 from .errors import DomainError, ResourceLimitError, require_p, require_subset
 from .errors import require_truncation
 
@@ -136,9 +136,9 @@ class MultiPoly:
         return self.terms.get((0,) * self.nvars, Fraction(0))
 
 
-def _form_poly(n: int, form: LinearForm) -> MultiPoly:
+def _form_poly(n: int, form: tuple[int, ...]) -> MultiPoly:
     """A bound form as an affine polynomial in l_1..l_n."""
-    return MultiPoly.affine(n, 0, dict(enumerate(form.coeffs)))
+    return MultiPoly.affine(n, 0, dict(enumerate(form)))
 
 
 def _upper_bound_poly(p: int, n: int, i: int) -> MultiPoly:

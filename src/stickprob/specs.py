@@ -1,5 +1,5 @@
-"""The names of the sampling models and events, and the validated specs
-that select them.
+"""The names of the sampling models and events, the validated specs
+that select them, and the default Monte Carlo seed.
 
 Plain Python, without numpy: the exact path, the CLI's option choices and
 the Monte Carlo estimator read these same definitions, and only
@@ -23,6 +23,7 @@ __all__ = [
     "DistributionSpec",
     "EventSpec",
     "MCEstimate",
+    "MC_BASE_SEED",
 ]
 
 # sampling models, named as in the CLI and the closed-form table
@@ -33,6 +34,10 @@ ALL_POLYGON = "all_polygon"
 RANDOM_SUBSET_POLYGON = "random_subset_polygon"
 # the event kinds under the CLI's short names
 EVENTS = {"pn": NO_POLYGON, "pa": ALL_POLYGON, "pr": RANDOM_SUBSET_POLYGON}
+
+# the default base seed of the Monte Carlo concordance suite (cell k runs on
+# seed + k), kept here so the CLI names it without loading verify
+MC_BASE_SEED = 20250810
 
 
 @dataclass(frozen=True)

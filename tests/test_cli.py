@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from stickprob import closedform, constraints
-from stickprob.cli import cli
+from stickprob.cli import _form_text, cli
 from stickprob.constraints import m_constants
 from stickprob.verify import EXACT_CHECKS
 
@@ -274,6 +274,11 @@ class TestConstants:
         result = json.loads(res.output)["result"]
         assert result["denominator"] == 2
         assert result["numerator_form"]["coeffs"] == [0, 1]
+
+    def test_form_text(self):
+        assert _form_text((1, 0, 2, 1)) == "l4 + 2*l3 + l1"
+        assert _form_text((0, 0, 0)) == "0"
+        assert _form_text(()) == "0"
 
     def test_emax_rejects_last_stick(self, runner):
         res = runner.invoke(cli, ["constants", "emax", "--p", "2", "--n", "5", "--i", "5"])

@@ -34,7 +34,7 @@ def max_forms_digest(model: str, p: int) -> str:
     for n in range(p + 1, MAX_N + 1):
         for i in range(1, n):
             den, form = max_length_form(p, n, i, model)
-            lines.append(f"{n} {i} {den:x} {_ints(form.coeffs)} 0/1")
+            lines.append(f"{n} {i} {den:x} {_ints(form)} 0/1")
     return _sha(lines)
 
 

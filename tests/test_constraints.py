@@ -11,7 +11,6 @@ import pytest
 from stickprob import constraints, verify
 from stickprob.constraints import (
     BOUND_MODELS,
-    LinearForm,
     bounds,
     check_max_min_identity,
     e_vector,
@@ -75,40 +74,15 @@ def test_subset_rule_has_one_message(site):
         _SUBSET_CALLS[site]()
 
 
-class TestLinearForm:
-    def test_evaluate(self):
-        form = LinearForm((2, 0, 1))
-        assert form.evaluate([Fraction(1, 4), 5, Fraction(1, 3)]) == Fraction(5, 6)
-
-    def test_arity_mismatch(self):
-        form = LinearForm((1, 1))
-        with pytest.raises(DomainError):
-            form.evaluate([1])
-
-    def test_rejects_non_integer_coefficients(self):
-        with pytest.raises(DomainError):
-            LinearForm((Fraction(1, 2),))
-
-    def test_float_lengths_raise(self):
-        form = LinearForm((1, 1))
-        with pytest.raises(DomainError, match="not floats"):
-            form.evaluate([Fraction(1, 4), 0.5])
-
-    def test_str(self):
-        assert str(LinearForm((1, 0, 2, 1))) == "l4 + 2*l3 + l1"
-        assert str(LinearForm((0, 0, 0))) == "0"
-        assert str(LinearForm(())) == "0"
-
-
 class TestMinLengthForm:
     def test_first_stick_unconstrained(self):
-        assert min_length_form(2, 1) == LinearForm(())
+        assert min_length_form(2, 1) == ()
 
     def test_window_sum(self):
-        assert str(min_length_form(2, 5)) == "l4 + l3"
+        assert min_length_form(2, 5) == (0, 0, 1, 1)
 
     def test_ordering_below_window(self):
-        assert str(min_length_form(4, 3)) == "l2"
+        assert min_length_form(4, 3) == (0, 1)
 
     def test_rejects_bad_index(self):
         with pytest.raises(DomainError):
@@ -156,12 +130,12 @@ class TestMaxLengthForm:
     def test_fibonacci_shape(self):
         den, form = max_length_form(2, 5, 3)
         assert den == 2
-        assert form == LinearForm((0, 1))
+        assert form == (0, 1)
 
     def test_short_chain_for_first_stick(self):
         den, form = max_length_form(2, 4, 1)
         assert den == 3
-        assert form == LinearForm(())
+        assert form == ()
 
     def test_terminal_window(self):
         den, _ = max_length_form(3, 5, 4)
@@ -181,13 +155,13 @@ class TestMaxLengthForm:
             for i in range(2, n):
                 den, form = max_length_form(2, n, i)
                 assert den == fib(2, n - i + 1)
-                assert form.coeffs[-1] == fib(2, n - i)
-                assert not any(form.coeffs[:-1])
+                assert form[-1] == fib(2, n - i)
+                assert not any(form[:-1])
 
     def test_broken_small_case(self):
         den, form = max_length_form(2, 3, 2, "broken")
         assert den == 2
-        assert form == LinearForm((2,))
+        assert form == (2,)
 
 
 class TestConstants:
@@ -285,6 +259,15 @@ class TestConstraintSystem:
             assert hi == 1 - sum(prefix)
             assert validate_prefix(p, n, prefix + (hi,), "broken")
 
+    def test_all_broken_pieces_total_one(self):
+        # 3/8 sits inside stick 4's interval [3/8, 1/2], but the four pieces
+        # then fall 1/8 short of the unit stick
+        prefix = (Fraction(1, 8), Fraction(1, 8), Fraction(1, 4), Fraction(3, 8))
+        message = r"pieces total 7/8, not 1 \(broken, p=2, n=4\)"
+        with pytest.raises(InfeasiblePrefixError, match=message):
+            validate_prefix(2, 4, prefix, "broken")
+        assert validate_prefix(2, 4, prefix, "pickup") == prefix
+
     def test_bounds_are_fractions_for_int_prefixes(self):
         for model, cap in (("pickup", 1), ("broken", Fraction(1, 2))):
             lo, hi = bounds(2, 4, (0, 0), model)
@@ -368,9 +351,22 @@ class TestMaxMinIdentity:
             )
 
 
+def _evaluate(form, lengths):
+    """The reference route: a bound form's value at exact lengths."""
+    return sum((c * x for c, x in zip(form, lengths, strict=True)), Fraction(0))
+
+
 class TestIntegerCore:
     """The integer core agrees with evaluating the bound table's forms on
-    Fractions, the reference route through ``LinearForm.evaluate``."""
+    Fractions, the reference route through ``_evaluate``."""
+
+    @pytest.mark.parametrize("model", BOUND_MODELS)
+    def test_table_holds_only_ints(self, model):
+        for p in range(2, 7):
+            for n in range(p + 1, 31):
+                mins, denominators, numerators = constraints._bound_table(p, n, model)
+                for values in (*mins, denominators, *numerators):
+                    assert all(type(c) is int for c in values), (p, n, values)
 
     @pytest.mark.parametrize("model", BOUND_MODELS)
     @pytest.mark.parametrize("p", [2, 3, 4])
@@ -387,9 +383,9 @@ class TestIntegerCore:
                             head = prefix[:j]
                             nums, den = constraints._over_common_denominator(head)
                             lo, top, m = constraints._interval(table, nums, den)
-                            hi = (1 - numerators[j].evaluate(head)) / denominators[j]
+                            hi = (1 - _evaluate(numerators[j], head)) / denominators[j]
                             assert m == denominators[j]
-                            assert Fraction(lo, den) == mins[j].evaluate(head)
+                            assert Fraction(lo, den) == _evaluate(mins[j], head)
                             assert Fraction(top, m * den) == hi
                             assert bounds(p, n, head, model) == (Fraction(lo, den), hi)
 
@@ -412,7 +408,7 @@ def _raise_first_coefficient_of_stick_3(max_length_form):
     def mutated(p, n, i, model="pickup"):
         den, form = max_length_form(p, n, i, model)
         if i == 3:
-            form = LinearForm((form.coeffs[0] + 1,) + form.coeffs[1:])
+            form = (form[0] + 1,) + form[1:]
         return den, form
     return mutated
 
@@ -422,7 +418,7 @@ def _raise_broken_coefficient_beyond_sampling(max_length_form):
     def mutated(p, n, i, model="pickup"):
         den, form = max_length_form(p, n, i, model)
         if model == "broken" and (p, n, i) == (5, 9, 4):
-            form = LinearForm((form.coeffs[0] + 1,) + form.coeffs[1:])
+            form = (form[0] + 1,) + form[1:]
         return den, form
     return mutated
 

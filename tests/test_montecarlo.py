@@ -474,7 +474,8 @@ class TestWorkerBound:
     def run(self, monkeypatch, workers, cpus=None):
         seen = []
         monkeypatch.setattr(
-            montecarlo, "ThreadPoolExecutor", lambda max_workers: _InlineExecutor(seen, max_workers)
+            "concurrent.futures.ThreadPoolExecutor",
+            lambda max_workers: _InlineExecutor(seen, max_workers),
         )
         if cpus is None:
             monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)

@@ -7,8 +7,10 @@ importable but expected to stay unloaded.  So is the command line: every
 ``compute``, ``table``, ``constants`` and ``verify --suite exact`` request
 pinned in ``test_cli_golden`` prints its golden bytes without loading
 numpy, and the Monte Carlo commands, which do load it, exit 2 with one
-line on stderr where it cannot be imported.  This file itself imports no
-numpy, so it runs where numpy is not installed.
+line on stderr where it cannot be imported.  Each command loads only the
+subsystems it runs: only ``verify`` loads the verification suite and the
+oracle, and a single-threaded ``simulate`` no thread pool.  This file
+itself imports no numpy, so it runs where numpy is not installed.
 """
 
 import hashlib
@@ -64,11 +66,13 @@ print(sys.modules.get("numpy") is not None)
 # a None entry makes every "import numpy" raise ImportError
 _BLOCK_NUMPY = "import sys; sys.modules['numpy'] = None\n"
 
-# each argv through the CLI in process; prints whether numpy got loaded and,
-# per argv, [exit code, sha256 of stdout, stderr]
+# each argv through the CLI in process; prints which of the watched modules
+# got loaded and, per argv, [exit code, sha256 of stdout, stderr]
 _CLI_REQUESTS = """
 import hashlib, io, json, sys
 from stickprob.cli import cli
+
+WATCHED = ("numpy", "stickprob.verify", "stickprob.oracle", "concurrent.futures")
 
 runs = {}
 for argv in json.loads(sys.argv[1]):
@@ -82,7 +86,8 @@ for argv in json.loads(sys.argv[1]):
     finally:
         sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
     runs[argv] = [code, hashlib.sha256(out.getvalue().encode()).hexdigest(), err.getvalue()]
-print(json.dumps({"numpy": sys.modules.get("numpy") is not None, "runs": runs}))
+loaded = [name for name in WATCHED if sys.modules.get(name) is not None]
+print(json.dumps({"loaded": loaded, "runs": runs}))
 """
 
 _EXACT_ARGV = [
@@ -110,11 +115,11 @@ def _numpy_loaded_after_exact_calls(prelude: str) -> bool:
     return proc.stdout.strip() == "True"
 
 
-def _cli_requests(prelude: str, argvs: list[str]) -> tuple[bool, dict]:
+def _cli_requests(prelude: str, argvs: list[str]) -> tuple[set, dict]:
     proc = _python(prelude + _CLI_REQUESTS, json.dumps(argvs))
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    return report["numpy"], report["runs"]
+    return set(report["loaded"]), report["runs"]
 
 
 def _assert_golden(runs: dict) -> None:
@@ -133,20 +138,27 @@ def test_exact_path_leaves_numpy_unloaded():
 def test_exact_commands_leave_numpy_unloaded():
     assert "verify --suite exact" in _EXACT_ARGV
     loaded, runs = _cli_requests("", _EXACT_ARGV)
-    assert not loaded
+    assert "numpy" not in loaded
+    _assert_golden(runs)
+
+
+def test_only_verify_loads_the_oracle():
+    argvs = [argv for argv in _EXACT_ARGV if argv.split()[0] != "verify"]
+    loaded, runs = _cli_requests("", argvs)
+    assert loaded == set()
     _assert_golden(runs)
 
 
 def test_exact_commands_print_their_goldens_with_numpy_blocked():
     loaded, runs = _cli_requests(_BLOCK_NUMPY, _EXACT_ARGV)
-    assert not loaded
+    assert "numpy" not in loaded
     _assert_golden(runs)
 
 
 def test_monte_carlo_commands_exit_2_with_numpy_blocked():
     argvs = _MC_ARGV + ["verify --suite all"]
     loaded, runs = _cli_requests(_BLOCK_NUMPY, argvs)
-    assert not loaded
+    assert "numpy" not in loaded
     for argv, (code, digest, stderr) in runs.items():
         assert code == 2, argv
         assert digest == _EMPTY, f"{argv}: stdout is not empty"
@@ -157,7 +169,8 @@ def test_monte_carlo_commands_exit_2_with_numpy_blocked():
 def test_monte_carlo_commands_load_numpy():
     assert "verify --suite mc --trials 20000" in _MC_ARGV
     loaded, runs = _cli_requests("", _MC_ARGV)
-    assert loaded
+    # every request here runs one chunk, so on one thread and with no pool
+    assert loaded == {"numpy", "stickprob.verify", "stickprob.oracle"}
     _assert_golden(runs)
 
 
