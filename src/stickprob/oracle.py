@@ -3,9 +3,10 @@
 ``symbolic_pn_pickup`` evaluates the ordered-lengths probability
 integral literally: integrate out the longest stick from its minimum form
 to its maximum form, then the next, and so on down to the shortest, one
-definite-integral step per stick (``_integrate``).  Every bound is affine
-in the remaining lengths with rational coefficients, so each step maps a
-polynomial to a polynomial and the whole computation stays exact.  A
+definite-integral step per stick (``MultiPoly.integrate``).  Every bound
+is affine in the remaining lengths, with integer coefficients over one
+denominator, so each step maps a polynomial with integer numerators over
+one denominator to another, and no step does rational arithmetic.  A
 bound replaces its variable by Horner's rule, from the top degree down.
 The integrator shares only the bound *forms* with the production code
 (the minimum forms and the vector-route maximum forms), never the
@@ -19,8 +20,8 @@ with step-Fibonacci numbers, giving a second, algebra-only check.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
-from typing import Iterable, Iterator, Mapping
+from math import comb, factorial, gcd, lcm
+from typing import Iterator, Mapping
 
 from .closedform import ExactProb, RationalLike
 from .constraints import max_length_form, min_length_form
@@ -37,124 +38,101 @@ __all__ = [
 ]
 
 # the most terms an integrand may reach; (2, 32), (3, 15), (4, 12) and
-# (5..7, 11) are the largest systems inside it, about a second each
+# (5..7, 11) are the largest systems inside it, about a quarter second or less each
 TERM_LIMIT = 500
+
+# an affine bound (constant + sum(coeffs[v] * l_{v+1})) / den, with integer
+# constant and coeffs over 0-based variable slots, and den > 0
+Bound = tuple[int, tuple[int, ...], int]
 
 
 class MultiPoly:
-    """Sparse polynomial in l_1..l_nvars with Fraction coefficients.
+    """Sparse polynomial in l_1..l_nvars: integer numerators over one
+    positive denominator.
 
-    Terms map exponent tuples to nonzero coefficients; only the handful of
-    operations the integrator needs are implemented.
+    ``terms`` maps exponent tuples to nonzero ints and ``den`` shares no
+    factor with all of them, so every polynomial has one representation.
+    Only the steps the integrator runs are implemented.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "den")
 
     def __init__(
-        self,
-        nvars: int,
-        terms: Mapping[tuple[int, ...], RationalLike] | None = None,
+        self, nvars: int, terms: Mapping[tuple[int, ...], int] | None = None, den: int = 1
     ) -> None:
+        terms = {expo: coeff for expo, coeff in (terms or {}).items() if coeff}
+        common = gcd(den, *terms.values())
         self.nvars = nvars
-        self.terms: dict[tuple[int, ...], Fraction] = {}
-        self._accumulate((tuple(e), Fraction(c)) for e, c in (terms or {}).items())
-
-    def _accumulate(self, pairs: Iterable[tuple[tuple, Fraction]]) -> "MultiPoly":
-        """Add each coefficient under its exponent, dropping keys that sum to 0."""
-        terms = self.terms
-        for expo, coeff in pairs:
-            total = terms.get(expo, 0) + coeff
-            if total:
-                terms[expo] = total
-            else:
-                terms.pop(expo, None)
-        return self
-
-    @classmethod
-    def constant(cls, nvars: int, value: RationalLike) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: value})
-
-    @classmethod
-    def affine(
-        cls,
-        nvars: int,
-        constant: RationalLike,
-        coeffs: Mapping[int, RationalLike],
-    ) -> "MultiPoly":
-        """constant + sum(coeffs[v] * l_{v+1}) over 0-based variable slots."""
-        terms = {(0,) * nvars: constant}
-        for var, coeff in coeffs.items():
-            terms[tuple(int(v == var) for v in range(nvars))] = coeff
-        return cls(nvars, terms)
+        self.terms: dict[tuple[int, ...], int] = {
+            expo: coeff // common for expo, coeff in terms.items()
+        }
+        self.den = den // common
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        out = MultiPoly(self.nvars)
-        out.terms = dict(self.terms)
-        return out._accumulate(other.terms.items())
+    def substitute(self, var: int, bound: Bound) -> "MultiPoly":
+        """Replace ``var`` by an affine bound, by Horner's rule in ``var``.
 
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + other * -1
-
-    def __mul__(self, other: "MultiPoly | RationalLike") -> "MultiPoly":
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.constant(self.nvars, other)
-        return MultiPoly(self.nvars)._accumulate(
-            (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-            for e1, c1 in self.terms.items()
-            for e2, c2 in other.terms.items()
-        )
-
-    __rmul__ = __mul__
-
-    def antiderivative(self, var: int) -> "MultiPoly":
-        result = MultiPoly(self.nvars)
-        for expo, coeff in self.terms.items():
-            lifted = list(expo)
-            lifted[var] += 1
-            result.terms[tuple(lifted)] = coeff / lifted[var]
-        return result
-
-    def substitute(self, var: int, replacement: "MultiPoly") -> "MultiPoly":
-        """Replace ``var`` by a polynomial (usually an affine bound), by Horner."""
-        by_degree: dict[int, dict[tuple[int, ...], Fraction]] = {}
+        With the bound's numerator B and denominator d, the top degree K
+        and the coefficient polynomials q_k, the numerator runs
+        S <- S * B + q_k * d^(K-k) from k = K down, so S = d^K * poly(B/d)
+        stays in integers.
+        """
+        constant, coeffs, den = bound
+        steps = [(v, c) for v, c in enumerate(coeffs) if c]
+        by_degree: dict[int, dict[tuple[int, ...], int]] = {}
         for expo, coeff in self.terms.items():
             # exponents that reduce alike differ in this degree: no key repeats
             reduced = expo[:var] + (0,) + expo[var + 1:]
             by_degree.setdefault(expo[var], {})[reduced] = coeff
-        out = MultiPoly(self.nvars)
-        for degree in range(max(by_degree, default=-1), -1, -1):
-            out = (out * replacement)._accumulate(by_degree.get(degree, {}).items())
-        return out
+        top = max(by_degree, default=0)
+        out: dict[tuple[int, ...], int] = {}
+        for degree in range(top, -1, -1):
+            grown = {expo: coeff * constant for expo, coeff in out.items()} if constant else {}
+            for expo, coeff in out.items():
+                for v, c in steps:
+                    key = expo[:v] + (expo[v] + 1,) + expo[v + 1:]
+                    grown[key] = grown.get(key, 0) + coeff * c
+            scale = den ** (top - degree)
+            for expo, coeff in by_degree.get(degree, {}).items():
+                grown[expo] = grown.get(expo, 0) + coeff * scale
+            out = grown
+        return MultiPoly(self.nvars, out, self.den * den**top)
+
+    def integrate(self, var: int, lower: Bound, upper: Bound) -> "MultiPoly":
+        """The definite integral in ``var`` from ``lower`` to ``upper``.
+
+        The antiderivative divides each numerator by its new degree in
+        ``var``; scaling them all by the lcm of those degrees keeps it in
+        integers.
+        """
+        scale = lcm(*(expo[var] + 1 for expo in self.terms))
+        anti = MultiPoly(self.nvars, {
+            expo[:var] + (expo[var] + 1,) + expo[var + 1:]: coeff * (scale // (expo[var] + 1))
+            for expo, coeff in self.terms.items()
+        }, self.den * scale)
+        high, low = anti.substitute(var, upper), anti.substitute(var, lower)
+        den = lcm(high.den, low.den)
+        terms = {expo: coeff * (den // high.den) for expo, coeff in high.terms.items()}
+        for expo, coeff in low.terms.items():
+            terms[expo] = terms.get(expo, 0) - coeff * (den // low.den)
+        return MultiPoly(self.nvars, terms, den)
 
     def constant_value(self) -> Fraction:
         """The value of a polynomial with no remaining variables."""
         if any(any(expo) for expo in self.terms):
             raise DomainError("polynomial still depends on variables")
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+        return Fraction(self.terms.get((0,) * self.nvars, 0), self.den)
 
 
-def _form_poly(n: int, form: tuple[int, ...]) -> MultiPoly:
-    """A bound form as an affine polynomial in l_1..l_n."""
-    return MultiPoly.affine(n, 0, dict(enumerate(form)))
-
-
-def _upper_bound_poly(p: int, n: int, i: int) -> MultiPoly:
-    """Affine polynomial for the cap on stick i (pick-up sticks)."""
+def _upper_bound(p: int, n: int, i: int) -> Bound:
+    """The cap on stick i (pick-up sticks): 1 for the longest, else
+    (1 - form(l_1, ..., l_{i-1})) / den from the vector route."""
     if i == n:
-        return MultiPoly.constant(n, 1)
+        return 1, (), 1
     den, form = max_length_form(p, n, i)
-    return (MultiPoly.constant(n, 1) - _form_poly(n, form)) * Fraction(1, den)
-
-
-def _integrate(
-    poly: MultiPoly, var: int, lower: MultiPoly, upper: MultiPoly
-) -> MultiPoly:
-    """The definite integral of ``poly`` in ``var`` from ``lower`` to ``upper``."""
-    anti = poly.antiderivative(var)
-    return anti.substitute(var, upper) - anti.substitute(var, lower)
+    return 1, tuple(-c for c in form), den
 
 
 def _term_count(p: int, n: int, i: int) -> int:
@@ -184,10 +162,9 @@ def integration_chain(p: int, n: int) -> Iterator[tuple[int, MultiPoly]]:
             f"symbolic integration at p = {p}, n = {n} would hold {terms} "
             f"terms, more than the limit of {TERM_LIMIT}"
         )
-    poly = MultiPoly.constant(n, 1)
+    poly = MultiPoly(n, {(0,) * n: 1})
     for i in range(n, 1, -1):
-        lower = _form_poly(n, min_length_form(p, i))
-        poly = _integrate(poly, i - 1, lower, _upper_bound_poly(p, n, i))
+        poly = poly.integrate(i - 1, (0, min_length_form(p, i), 1), _upper_bound(p, n, i))
         yield i, poly
 
 
@@ -207,10 +184,10 @@ def symbolic_pn_truncated(p: int, n: int, a: RationalLike) -> ExactProb:
     final = None
     for _, poly in integration_chain(p, n):
         final = poly
-    upper = _upper_bound_poly(p, n, 1)
-    if a >= upper.constant_value():
+    upper = _upper_bound(p, n, 1)
+    if a >= Fraction(upper[0], upper[2]):
         return ExactProb(0, 1)
-    volume = _integrate(final, 0, MultiPoly.constant(n, a), upper).constant_value()
+    volume = final.integrate(0, (a.numerator, (), a.denominator), upper).constant_value()
     return ExactProb.from_fraction(factorial(n) * volume / (1 - a) ** n)
 
 
@@ -223,7 +200,7 @@ def intermediates_vanish_at_max(p: int, n: int) -> bool:
     empty interior; the partial results must vanish there identically.
     """
     for i, poly in integration_chain(p, n):
-        pinned = poly.substitute(i - 2, _upper_bound_poly(p, n, i - 1))
+        pinned = poly.substitute(i - 2, _upper_bound(p, n, i - 1))
         if not pinned.is_zero():
             return False
     return True

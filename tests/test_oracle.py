@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -18,37 +18,35 @@ from stickprob.sequences import fib
 
 
 class TestMultiPoly:
-    def test_affine_and_mul(self):
-        # (1 + l1) * (2 l2) = 2 l2 + 2 l1 l2
-        a = MultiPoly.affine(2, 1, {0: 1})
-        b = MultiPoly.affine(2, 0, {1: 2})
-        prod = a * b
-        assert prod.terms == {(0, 1): Fraction(2), (1, 1): Fraction(2)}
-
     def test_antiderivative(self):
-        poly = MultiPoly(1, {(2,): Fraction(3)})
-        assert poly.antiderivative(0).terms == {(3,): Fraction(1)}
+        # 3 l1^2 from 0 to l2 is l2^3
+        poly = MultiPoly(2, {(2, 0): 3})
+        out = poly.integrate(0, (0, (), 1), (0, (0, 1), 1))
+        assert (out.terms, out.den) == ({(0, 3): 1}, 1)
 
     def test_substitute_collapses(self):
         # l1^2 at l1 = 1 - l2 gives 1 - 2 l2 + l2^2
-        poly = MultiPoly(2, {(2, 0): Fraction(1)})
-        out = poly.substitute(0, MultiPoly.affine(2, 1, {1: -1}))
-        assert out.terms == {
-            (0, 0): Fraction(1),
-            (0, 1): Fraction(-2),
-            (0, 2): Fraction(1),
-        }
+        poly = MultiPoly(2, {(2, 0): 1})
+        out = poly.substitute(0, (1, (0, -1), 1))
+        assert out.terms == {(0, 0): 1, (0, 1): -2, (0, 2): 1}
+        assert out.den == 1
 
     def test_cancellation_drops_terms(self):
-        a = MultiPoly(1, {(1,): Fraction(1)})
-        b = MultiPoly(1, {(1,): Fraction(1)})
-        assert (a - b).is_zero()
+        # l1 - l2 at l1 = l2 is zero, with the canonical denominator 1
+        poly = MultiPoly(2, {(1, 0): 1, (0, 1): -1})
+        out = poly.substitute(0, (0, (0, 1), 1))
+        assert out.is_zero()
+        assert (out.terms, out.den) == ({}, 1)
 
     def test_constant_value(self):
-        assert MultiPoly.constant(3, Fraction(5, 7)).constant_value() == Fraction(5, 7)
+        assert MultiPoly(3, {(0, 0, 0): 10}, 14).constant_value() == Fraction(5, 7)
         assert MultiPoly(2).constant_value() == 0
         with pytest.raises(DomainError):
-            MultiPoly(1, {(1,): Fraction(1)}).constant_value()
+            MultiPoly(1, {(1,): 1}).constant_value()
+
+    def test_numerators_share_no_factor_with_the_denominator(self):
+        poly = MultiPoly(2, {(1, 0): 6, (0, 1): -4, (0, 0): 0}, 10)
+        assert (poly.terms, poly.den) == ({(1, 0): 3, (0, 1): -2}, 5)
 
 
 class TestSymbolicPickup:
@@ -69,7 +67,10 @@ class TestSymbolicPickup:
                 assert symbolic_pn_pickup(p, n).fraction == pn_pickup(p, n).fraction
         assert symbolic_pn_pickup(4, 5).fraction == pn_pickup(4, 5).fraction
 
-    @pytest.mark.parametrize(("p", "n"), [(2, 12), (3, 10)])
+    # the last five are the largest systems the term limit admits
+    @pytest.mark.parametrize(
+        ("p", "n"), [(2, 12), (3, 10), (2, 32), (3, 15), (4, 12), (5, 11), (7, 11)]
+    )
     def test_matches_closed_form_past_n_8(self, p, n):
         assert symbolic_pn_pickup(p, n).fraction == pn_pickup(p, n).fraction
 
@@ -103,11 +104,11 @@ class TestSymbolicTruncated:
             symbolic_pn_truncated(2, 3, Fraction(5, 4))
 
     def test_matches_closed_form_past_n_8(self):
-        a = Fraction(1, 10)
-        assert (
-            symbolic_pn_truncated(2, 10, a).fraction
-            == pn_pickup_truncated(2, 10, a).fraction
-        )
+        for p, n, a in ((2, 10, Fraction(1, 10)), (3, 15, Fraction(1, 100))):
+            assert (
+                symbolic_pn_truncated(p, n, a).fraction
+                == pn_pickup_truncated(p, n, a).fraction
+            ), (p, n, a)
 
 
 class TestTermLimit:
@@ -124,6 +125,8 @@ class TestTermLimit:
                 for i, poly in integration_chain(p, n):
                     v = min(p, i - 1)
                     assert len(poly.terms) == comb(n - i + 1 + v, v), (p, n, i)
+                    assert all(type(c) is int for c in poly.terms.values()), (p, n, i)
+                    assert gcd(poly.den, *poly.terms.values()) == 1, (p, n, i)
                     checked += 1
         assert checked == 273
 
@@ -135,7 +138,7 @@ class TestTermLimit:
         def no_step(*args):
             raise AssertionError("integrated past the limit")
 
-        monkeypatch.setattr(oracle, "_integrate", no_step)
+        monkeypatch.setattr(MultiPoly, "integrate", no_step)
         with pytest.raises(ResourceLimitError, match=rf"would hold {terms} terms"):
             symbolic_pn_pickup(p, n)
 
@@ -153,12 +156,13 @@ class TestVanishingIntermediates:
     @pytest.mark.parametrize(("p", "n"), [(2, 4), (3, 5)])
     def test_shifted_cap_is_caught(self, monkeypatch, p, n):
         # every cap off by 1/100: pinning a stick there leaves a nonzero slab
-        inner = oracle._upper_bound_poly
+        inner = oracle._upper_bound
 
         def shifted(p, n, i):
-            return inner(p, n, i) + MultiPoly.constant(n, Fraction(1, 100))
+            constant, coeffs, den = inner(p, n, i)
+            return 100 * constant + den, tuple(100 * c for c in coeffs), 100 * den
 
-        monkeypatch.setattr(oracle, "_upper_bound_poly", shifted)
+        monkeypatch.setattr(oracle, "_upper_bound", shifted)
         assert not intermediates_vanish_at_max(p, n)
 
     def test_chain_ends_univariate(self):
