@@ -28,21 +28,16 @@ Three derivations of the same denominators live here on purpose:
 
 Their exact agreement is a core check of the verification suite.
 The bound table of each (p, n, model) in ``BOUND_MODELS`` mixes the
-closed-form denominators with the vector-route numerator forms.  One
-integer core evaluates it: a prefix becomes integer numerators over one
-common denominator den, and the interval of the next stick is
-[lo / den, top / (m * den)] with lo and top plain integer dot products
-over the forms' coefficients.  Sampling, validation and the telescoping
-spot check compare and draw on those integers and build Fractions only for
-what they return or report.  ``bounds`` is the Fraction view of the same
-core and reads exact lengths only: a float raises rather than give an
+closed-form denominators with the vector-route numerator forms.
+``bounds`` evaluates it on Fractions, the one evaluator of a stick's
+interval: sampling, validation and the telescoping spot check all read
+it.  It takes exact lengths only: a float raises rather than give an
 inexact bound.  ``max_min_identity_mismatches`` proves the telescoping
 identity on the table's forms themselves, for every prefix at once.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -227,38 +222,35 @@ def _bound_table(
     return mins, denominators, numerators + (last,)
 
 
-def _interval(table: tuple, nums: Sequence[int], den: int) -> tuple[int, int, int]:
-    """(lo, top, m) for stick len(nums)+1 of a bound table, given the
-    lengths before it as integer numerators over the common denominator
-    den: its interval is [lo / den, top / (m * den)]."""
-    mins, denominators, numerators = table
-    i = len(nums)
-    lo = sum(map(mul, mins[i], nums))
-    top = den - sum(map(mul, numerators[i], nums))
-    return lo, top, denominators[i]
-
-
-def _over_common_denominator(vals: Sequence[Rational]) -> tuple[list[int], int]:
-    """The exact lengths as integer numerators over their least common
-    denominator."""
-    den = math.lcm(*(x.denominator for x in vals))
-    return [x.numerator * (den // x.denominator) for x in vals], den
+def _as_fractions(prefix: Sequence) -> tuple[Fraction, ...]:
+    """The lengths as Fractions; DomainError for one that is not a finite
+    rational."""
+    vals = []
+    for x in prefix:
+        try:
+            vals.append(Fraction(x))
+        except (TypeError, ValueError, ArithmeticError) as exc:  # None, "x", nan, inf
+            raise DomainError(f"lengths must be finite rationals, got {x!r}") from exc
+    return tuple(vals)
 
 
 def bounds(
     p: int, n: int, prefix: Sequence[Rational], model: str = "pickup"
 ) -> tuple[Fraction, Fraction]:
     """The [min, max] interval for stick len(prefix)+1 given the exact
-    lengths of the sticks before it."""
-    table = _bound_table(p, n, model)
-    i = len(prefix) + 1
-    if not 1 <= i <= n:
-        raise DomainError(f"prefix selects stick {i}, valid range 1..{n}")
+    lengths of the sticks before it: the bound table's forms evaluated on
+    Fractions.  Numeric strings and Decimals are exact and accepted; a
+    float raises rather than give an inexact bound."""
+    mins, denominators, numerators = _bound_table(p, n, model)
+    i = len(prefix)  # table row of the stick bounded
+    if not 0 <= i < n:
+        raise DomainError(f"prefix selects stick {i + 1}, valid range 1..{n}")
     if any(isinstance(x, float) for x in prefix):
-        raise DomainError("lengths must be Fractions or ints, not floats")
-    nums, den = _over_common_denominator(prefix)
-    lo, top, m = _interval(table, nums, den)
-    return Fraction(lo, den), Fraction(top, m * den)
+        raise DomainError("lengths must be exact rationals, not floats")
+    vals = _as_fractions(prefix)
+    lo = sum(map(mul, vals, mins[i]), Fraction(0))
+    hi = (1 - sum(map(mul, vals, numerators[i]), Fraction(0))) / denominators[i]
+    return lo, hi
 
 
 def validate_prefix(
@@ -266,23 +258,21 @@ def validate_prefix(
 ) -> tuple[Fraction, ...]:
     """Check l_1..l_k each sit inside their bound interval, and that all n
     pieces of a broken stick total 1; return Fractions."""
-    table = _bound_table(p, n, model)  # rejects a bad (p, n, model) for any prefix
-    vals = tuple(Fraction(x) for x in prefix)
+    _bound_table(p, n, model)  # rejects a bad (p, n, model) for any prefix
+    vals = _as_fractions(prefix)
     if len(vals) > n:
         raise DomainError(f"prefix longer than n = {n}")
-    nums, den = _over_common_denominator(vals)
-    for j, x in enumerate(nums):
-        lo, top, m = _interval(table, nums[:j], den)
-        if not (lo <= x and m * x <= top):
+    for j, x in enumerate(vals):
+        lo, hi = bounds(p, n, vals[:j], model)
+        if not lo <= x <= hi:
             raise InfeasiblePrefixError(
-                f"l_{j + 1} = {vals[j]} outside [{Fraction(lo, den)}, "
-                f"{Fraction(top, m * den)}] ({model}, p={p}, n={n})"
+                f"l_{j + 1} = {x} outside [{lo}, {hi}] ({model}, p={p}, n={n})"
             )
     # stick n's interval bounds it by the rest of the unit stick, but the
     # unit total fixes it there
-    if model == "broken" and len(nums) == n and sum(nums) != den:
+    if model == "broken" and len(vals) == n and sum(vals) != 1:
         raise InfeasiblePrefixError(
-            f"pieces total {Fraction(sum(nums), den)}, not 1 ({model}, p={p}, n={n})"
+            f"pieces total {sum(vals)}, not 1 ({model}, p={p}, n={n})"
         )
     return vals
 
@@ -311,12 +301,9 @@ def check_max_min_identity(
     derivation actually equate.  Valid for i up to n in the pick-up model
     and up to n-1 in the broken model.
 
-    Both sides are compared multiplied through by the prefix's common
-    denominator den, as the integers top_i - m_i * lo_i and
-    top_{i-1} - m_{i-1} * l_{i-1} * den, so the test stays exact.  This is
-    the spot check on one sampled prefix, through the integer evaluation
-    core; ``max_min_identity_mismatches`` proves the identity for every
-    prefix at once, on the forms themselves.
+    This is the spot check on one sampled prefix, through ``bounds``;
+    ``max_min_identity_mismatches`` proves the identity for every prefix at
+    once, on the forms themselves.
     """
     vals = validate_prefix(p, n, lengths_prefix, model)
     i = len(vals) + 1
@@ -325,11 +312,11 @@ def check_max_min_identity(
         raise DomainError(
             f"identity covers prefixes of 1..{top - 1} lengths, got {len(vals)}"
         )
-    table = _bound_table(p, n, model)
-    nums, den = _over_common_denominator(vals)
-    lo_i, top_i, m_i = _interval(table, nums, den)
-    _, top_prev, m_prev = _interval(table, nums[:-1], den)
-    return top_i - m_i * lo_i == top_prev - m_prev * nums[-1]
+    denominators = _bound_table(p, n, model)[1]
+    lo_i, hi_i = bounds(p, n, vals, model)
+    _, hi_prev = bounds(p, n, vals[:-1], model)
+    lhs = denominators[i - 1] * (hi_i - lo_i)
+    return lhs == denominators[i - 2] * (hi_prev - vals[-1])
 
 
 def max_min_identity_mismatches(
@@ -370,22 +357,15 @@ def sample_feasible_prefix(
     rational grid over its own [min, max] interval.
 
     Feasible by construction; endpoints are included deliberately so the
-    degenerate pinned configurations get exercised too.  The draw
-    lo + (hi - lo) * r / max_denominator is made on integers over a running
-    common denominator, which grows by m * max_denominator per stick.
+    degenerate pinned configurations get exercised too.
     """
     if not 1 <= k <= n - 1:
         raise DomainError(f"prefix length must be 1..{n - 1}, got {k}")
     if max_denominator < 1:
         raise DomainError("max_denominator must be >= 1")
-    table = _bound_table(p, n, model)
-    nums: list[int] = []
-    den = 1
+    prefix: list[Fraction] = []
     for _ in range(k):
-        lo, top, m = _interval(table, nums, den)
-        r = rng.randrange(max_denominator + 1)
-        scale = m * max_denominator
-        nums = [x * scale for x in nums]
-        nums.append(lo * scale + (top - m * lo) * r)
-        den *= scale
-    return tuple(Fraction(x, den) for x in nums)
+        lo, hi = bounds(p, n, prefix, model)
+        r = Fraction(rng.randrange(max_denominator + 1), max_denominator)
+        prefix.append(lo + (hi - lo) * r)
+    return tuple(prefix)

@@ -200,7 +200,7 @@ def check_interval_telescoping_identity() -> CheckResult:
         for n in range(p + 1, 13)
         for i in max_min_identity_mismatches(p, n, model)
     ]
-    # ... and spot-checked through the integer core on sampled prefixes
+    # ... and spot-checked through `bounds` on sampled prefixes
     rng = Random(1105)
     for model in constraints.BOUND_MODELS:
         for p in (2, 3, 4):

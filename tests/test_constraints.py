@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -281,6 +282,11 @@ class TestConstraintSystem:
             with pytest.raises(DomainError, match="not floats"):
                 bounds(3, 6, (Fraction(1, 20), 0.1, Fraction(1, 5)), model)
 
+    def test_bounds_read_strings_and_decimals_exactly(self):
+        expected = bounds(2, 4, (Fraction(1, 10),))
+        assert bounds(2, 4, ("1/10",)) == expected
+        assert bounds(2, 4, (Decimal("0.1"),)) == expected
+
     def test_validate_prefix_makes_fractions_once(self):
         vals = validate_prefix(2, 4, (0.25, 0.375))
         assert vals == (Fraction(1, 4), Fraction(3, 8))
@@ -313,6 +319,21 @@ class TestConstraintSystem:
     def test_rejects_unknown_model(self):
         with pytest.raises(DomainError):
             bounds(2, 4, (), "bent")
+
+
+@pytest.mark.parametrize(
+    "length", [None, "x", object(), float("nan"), float("inf")],
+    ids=["None", "str", "object", "nan", "inf"],
+)
+@pytest.mark.parametrize(
+    "call", [bounds, validate_prefix, check_max_min_identity],
+    ids=lambda call: call.__name__,
+)
+def test_length_not_a_finite_rational_is_a_domain_error(call, length):
+    with pytest.raises(DomainError) as info:
+        call(2, 4, (length,))
+    if not (call is bounds and isinstance(length, float)):  # "not floats" there
+        assert repr(length) in str(info.value)
 
 
 class TestMaxMinIdentity:
@@ -357,8 +378,9 @@ def _evaluate(form, lengths):
 
 
 class TestIntegerCore:
-    """The integer core agrees with evaluating the bound table's forms on
-    Fractions, the reference route through ``_evaluate``."""
+    """The bound table holds integers only, and ``bounds`` agrees with
+    evaluating its forms on Fractions, the reference route through
+    ``_evaluate``, at every stick."""
 
     @pytest.mark.parametrize("model", BOUND_MODELS)
     def test_table_holds_only_ints(self, model):
@@ -373,21 +395,16 @@ class TestIntegerCore:
     def test_matches_fraction_evaluation(self, p, model):
         rng = Random(4000 + p)
         for n in range(p + 1, 9):
-            table = constraints._bound_table(p, n, model)
-            mins, denominators, numerators = table
+            mins, denominators, numerators = constraints._bound_table(p, n, model)
             for k in range(1, n):
                 for grid in (1, 7, 64):
                     for _ in range(3):
                         prefix = sample_feasible_prefix(p, n, k, rng, model, grid)
                         for j in range(k + 1):
                             head = prefix[:j]
-                            nums, den = constraints._over_common_denominator(head)
-                            lo, top, m = constraints._interval(table, nums, den)
+                            lo = _evaluate(mins[j], head)
                             hi = (1 - _evaluate(numerators[j], head)) / denominators[j]
-                            assert m == denominators[j]
-                            assert Fraction(lo, den) == _evaluate(mins[j], head)
-                            assert Fraction(top, m * den) == hi
-                            assert bounds(p, n, head, model) == (Fraction(lo, den), hi)
+                            assert bounds(p, n, head, model) == (lo, hi)
 
     def test_float_raises_even_where_no_form_reads_it(self):
         # stick 4 of (2, 5) reads only l_2 and l_3
@@ -449,6 +466,28 @@ class TestTelescopingCheckCatchesMutations:
         failed = [r for r in results if not r.passed]
         assert [r.name for r in failed] == ["interval_telescoping_identity"]
         assert failed[0].detail == detail
+
+
+def _shrink_cap_of_stick_3(bounds):
+    def mutated(p, n, prefix, model="pickup"):
+        lo, hi = bounds(p, n, prefix, model)
+        if len(prefix) == 2:
+            hi *= Fraction(999, 1000)
+        return lo, hi
+    return mutated
+
+
+class TestSpotCheckReadsBounds:
+    """The telescoping check's spot check runs through ``bounds``: a wrong
+    cap there leaves every bound form intact, and fails the check on a
+    sampled prefix."""
+
+    def test_shrunk_cap_of_stick_3_is_caught(self, monkeypatch):
+        monkeypatch.setattr(constraints, "bounds", _shrink_cap_of_stick_3(bounds))
+        result = verify.check_interval_telescoping_identity()
+        assert not result.passed
+        assert "prefix=" in result.detail
+        assert " i=" not in result.detail  # the proof on the forms still holds
 
 
 class TestFeasibleSampling:
