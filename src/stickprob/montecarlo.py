@@ -1,5 +1,9 @@
 """Seeded Monte Carlo estimates of the polygon-formation probabilities.
 
+``estimate`` is the one sampling path; ``no_polygon`` and ``all_polygon``
+score one given sorted row with the same row kernels.  The distribution and
+event specs it takes live in ``stickprob.specs``.
+
 Randomness is counter-based: trial t always consumes the same fixed-size
 slice of a Philox stream for a given seed, so an estimate is bit identical
 however the trials are chunked or spread over workers.  Each Philox word
@@ -45,8 +49,6 @@ import numpy as np
 from .errors import DomainError, ResourceLimitError, require_n, require_p, require_subset
 from .specs import (
     ALL_POLYGON,
-    EVENTS,
-    MODELS,
     NO_POLYGON,
     RANDOM_SUBSET_POLYGON,
     DistributionSpec,
@@ -54,21 +56,7 @@ from .specs import (
     MCEstimate,
 )
 
-__all__ = [
-    "MODELS",
-    "EVENTS",
-    "NO_POLYGON",
-    "ALL_POLYGON",
-    "RANDOM_SUBSET_POLYGON",
-    "DistributionSpec",
-    "EventSpec",
-    "MCEstimate",
-    "sample_lengths",
-    "no_polygon",
-    "all_polygon",
-    "random_subset_polygon",
-    "estimate",
-]
+__all__ = ["no_polygon", "all_polygon", "estimate"]
 
 _WORDS_PER_BLOCK = 4  # Philox4x64 words per counter increment
 _TRIALS_PER_CHUNK = 1 << 16
@@ -98,21 +86,6 @@ def _lengths_into(dist: DistributionSpec, u: np.ndarray, x: np.ndarray) -> None:
     else:
         x.fill(1.0)  # a broken stick with no cuts is one whole piece
     x.sort(axis=1)
-
-
-def sample_lengths(dist: DistributionSpec, n: int, stream) -> np.ndarray:
-    """Draw one set of n lengths, sorted nondecreasing.
-
-    ``stream`` needs a numpy-style ``random(size)`` method returning
-    uniforms in [0, 1); a ``numpy.random.Generator`` works.
-    """
-    require_n(n)
-    k = dist.uniforms_per_trial(n)
-    # a copy, since a broken stick's cuts are sorted in place
-    u = np.array(stream.random(k), dtype=np.float64).reshape(1, k)
-    x = np.empty((1, n))
-    _lengths_into(dist, u, x)
-    return x[0]
 
 
 def _as_sorted_array(lengths) -> np.ndarray:
@@ -203,14 +176,6 @@ def _subset_rows(lengths: np.ndarray, p: int, u: np.ndarray) -> np.ndarray:
             picks[k - 1], picks[k] = np.minimum(lo, hi), np.maximum(lo, hi)
     subset = np.take_along_axis(lengths, np.stack(picks, axis=1), axis=1)
     return subset[:, :p].sum(axis=1) > subset[:, -1]
-
-
-def random_subset_polygon(sorted_lengths, p: int, stream) -> bool:
-    """Draw one uniform subset of p+1 lengths; True iff that subset forms."""
-    arr = _as_sorted_array(sorted_lengths)
-    require_subset(p, arr.shape[0])
-    u = np.asarray(stream.random(p + 1), dtype=np.float64).reshape(1, p + 1)
-    return bool(_subset_rows(arr.reshape(1, -1), p, u)[0])
 
 
 def _run_chunk(

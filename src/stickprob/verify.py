@@ -338,12 +338,13 @@ def check_symbolic_truncated_matches_closed_form() -> CheckResult:
         (2, 4, Fraction(1, 10)),
         (3, 4, Fraction(1, 8)),
     ]
-    bad = []
-    for p, n, a in cases:
-        sym = oracle.symbolic_pn_truncated(p, n, a).fraction
-        if sym != pn_pickup_truncated(p, n, a).fraction:
-            bad.append(f"p={p} n={n} a={a}")
-    if oracle.symbolic_pn_truncated(2, 3, Fraction(1, 4)).fraction != Fraction(4, 27):
+    symbolic = {case: oracle.symbolic_pn_truncated(*case).fraction for case in cases}
+    bad = [
+        f"p={p} n={n} a={a}"
+        for (p, n, a), sym in symbolic.items()
+        if sym != pn_pickup_truncated(p, n, a).fraction
+    ]
+    if symbolic[2, 3, Fraction(1, 4)] != Fraction(4, 27):
         bad.append("reference value 4/27 missed")
     return _result("symbolic_truncated_matches_closed_form", bad)
 
@@ -365,7 +366,7 @@ def check_matrix_recurrence_matches_step_fib() -> CheckResult:
             if r[p - 1] != fib(p, l):
                 bad.append(f"p={p} l={l} last entry")
                 continue
-            if p >= 2 and r[p - 2] != fib(p, l + 1):
+            if r[p - 2] != fib(p, l + 1):
                 bad.append(f"p={p} l={l} second-to-last entry")
                 continue
             for i in range(1, p - 1):

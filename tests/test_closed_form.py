@@ -239,6 +239,11 @@ class TestPrPickup:
     def test_values(self, p, expected):
         assert pr_pickup(p).fraction == expected
 
+    def test_complements_pn_at_n_p_plus_1(self):
+        # with n = p + 1 the random subset is every stick
+        for p in range(2, 13):
+            assert pr_pickup(p).fraction == 1 - pn_pickup(p, p + 1).fraction, p
+
     def test_rejects_small_p(self):
         with pytest.raises(DomainError):
             pr_pickup(1)

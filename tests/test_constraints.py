@@ -6,7 +6,6 @@ from fractions import Fraction
 from pathlib import Path
 from random import Random
 
-import numpy as np
 import pytest
 
 from stickprob import constraints, verify
@@ -24,16 +23,10 @@ from stickprob.constraints import (
     validate_prefix,
 )
 from stickprob.errors import DomainError, InfeasiblePrefixError
-from stickprob.montecarlo import (
-    MODELS,
-    RANDOM_SUBSET_POLYGON,
-    DistributionSpec,
-    EventSpec,
-    estimate,
-    random_subset_polygon,
-)
+from stickprob.montecarlo import estimate
 from stickprob.oracle import symbolic_pn_pickup
 from stickprob.sequences import fib, fib_prefix_sum
+from stickprob.specs import MODELS, RANDOM_SUBSET_POLYGON, DistributionSpec, EventSpec
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -58,9 +51,6 @@ def test_rejects_p_below_two(call, p):
 _SUBSET_CALLS = {
     "constraints": lambda: m_constants(3, 3),
     "oracle": lambda: symbolic_pn_pickup(3, 3),
-    "random_subset_polygon": lambda: random_subset_polygon(
-        [0.1, 0.2, 0.3], 3, np.random.default_rng(0)
-    ),
     "estimate": lambda: estimate(
         EventSpec(RANDOM_SUBSET_POLYGON, 3), DistributionSpec.uniform01(), 3, 10, 0
     ),

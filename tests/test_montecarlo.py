@@ -6,33 +6,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stickprob import montecarlo
-from stickprob.closedform import pn_pickup
+from stickprob.closedform import pa_pickup, pn_pickup
 from stickprob.errors import DomainError, ResourceLimitError
-from stickprob.montecarlo import (
+from stickprob.montecarlo import all_polygon, estimate, no_polygon
+from stickprob.montecarlo import _all_polygon_rows, _no_polygon_rows, _subset_rows
+from stickprob.specs import (
     ALL_POLYGON,
+    MODELS,
     NO_POLYGON,
     RANDOM_SUBSET_POLYGON,
     DistributionSpec,
     EventSpec,
-    all_polygon,
-    estimate,
-    no_polygon,
-    random_subset_polygon,
-    sample_lengths,
 )
-from stickprob.montecarlo import _all_polygon_rows, _no_polygon_rows, _subset_rows
-
-
-class ScriptedStream:
-    """Feeds predetermined uniforms to the scalar sampling helpers."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def random(self, size):
-        out, self.values = self.values[:size], self.values[size:]
-        assert len(out) == size, "scripted stream exhausted"
-        return np.array(out, dtype=np.float64)
+from test_sample_pins import draw_lengths
 
 
 class TestSpecs:
@@ -103,32 +89,27 @@ class TestSpecs:
 
 class TestSampling:
     def test_broken_single_cut(self):
-        lengths = sample_lengths(
-            DistributionSpec.broken_stick(), 2, ScriptedStream([0.3])
-        )
-        assert np.allclose(lengths, [0.3, 0.7])
+        lengths = np.empty((1, 2))
+        montecarlo._lengths_into(DistributionSpec.broken_stick(), np.array([[0.3]]), lengths)
+        assert np.allclose(lengths, [[0.3, 0.7]])
 
     def test_broken_sums_to_one_and_sorted(self):
         rng = np.random.default_rng(5)
         for n in (1, 2, 5, 9):
-            lengths = sample_lengths(DistributionSpec.broken_stick(), n, rng)
+            lengths = draw_lengths(DistributionSpec.broken_stick(), n, rng)
             assert lengths.shape == (n,)
             assert abs(lengths.sum() - 1.0) < 1e-12
             assert (np.diff(lengths) >= 0).all()
 
     def test_truncated_support(self):
         rng = np.random.default_rng(6)
-        lengths = sample_lengths(DistributionSpec.uniform_truncated(0.5), 200, rng)
+        lengths = draw_lengths(DistributionSpec.uniform_truncated(0.5), 200, rng)
         assert (lengths >= 0.5).all() and (lengths <= 1.0).all()
 
     def test_exponential_pooled_mean(self):
         rng = np.random.default_rng(7)
-        lengths = sample_lengths(DistributionSpec.exponential(1.0), 10**6, rng)
+        lengths = draw_lengths(DistributionSpec.exponential(1.0), 10**6, rng)
         assert abs(lengths.mean() - 1.0) <= 4e-3  # 4 sigma of the mean
-
-    def test_rejects_empty(self):
-        with pytest.raises(DomainError, match=r"^stick count n must be >= 1, got 0$"):
-            sample_lengths(DistributionSpec.uniform01(), 0, np.random.default_rng(0))
 
 
 class TestNoPolygon:
@@ -205,21 +186,17 @@ def test_predicates_scale_invariant(values, p, scale):
 
 class TestRandomSubset:
     def test_full_set_matches_all_polygon(self):
+        # at n = p + 1 the subset is every length, whatever the picks
         rng = np.random.default_rng(13)
-        for _ in range(200):
-            p = int(rng.integers(2, 5))
-            lengths = np.sort(rng.random(p + 1))
-            got = random_subset_polygon(lengths, p, rng)
-            assert got == all_polygon(lengths, p)
+        for p in (2, 3, 4):
+            lengths = np.sort(rng.random((200, p + 1)), axis=1)
+            got = _subset_rows(lengths, p, rng.random((200, p + 1)))
+            assert (got == _all_polygon_rows(lengths, p)).all()
 
     def test_scripted_choice_hits_small_triple(self):
         # zeros pick indices 0, 1, 2: the (1, 1, 1) triple forms
-        stream = ScriptedStream([0.0, 0.0, 0.0])
-        assert random_subset_polygon([1, 1, 1, 100], 2, stream)
-
-    def test_requires_enough_lengths(self):
-        with pytest.raises(DomainError):
-            random_subset_polygon([1, 2], 2, np.random.default_rng(0))
+        lengths = np.array([[1.0, 1.0, 1.0, 100.0]])
+        assert _subset_rows(lengths, 2, np.zeros((1, 3))).tolist() == [True]
 
 
 class TestEstimate:
@@ -295,6 +272,13 @@ class TestEstimate:
         )
         exact = float(pn_pickup(2, 4).fraction)
         assert abs(est.p_hat - exact) <= 4 * est.std_err
+        # PA at p = 3 past n = 6, where no exact route checks it
+        for n in (7, 9, 12):
+            est = estimate(
+                EventSpec(ALL_POLYGON, 3), DistributionSpec.uniform01(), n, 1 << 18, 3000 + n
+            )
+            exact = float(pa_pickup(3, n).fraction)
+            assert abs(est.p_hat - exact) <= 4 * est.std_err, n
 
     def test_exponential_rate_invariance(self):
         event = EventSpec(NO_POLYGON, 2)
@@ -522,7 +506,7 @@ def test_estimate_runs_each_chunk_through_the_module_hook(monkeypatch, workers):
 
 def _seam_cases():
     for event in (NO_POLYGON, ALL_POLYGON, RANDOM_SUBSET_POLYGON):
-        for model in montecarlo.MODELS:
+        for model in MODELS:
             for p in (2, 3):
                 ns = [p + 1, 20]
                 if model == "broken" and event != RANDOM_SUBSET_POLYGON:

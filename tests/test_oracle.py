@@ -5,6 +5,7 @@ import pytest
 
 from stickprob import oracle
 from stickprob.closedform import pn_pickup, pn_pickup_truncated
+from stickprob.constraints import m_constants
 from stickprob.errors import DomainError, ResourceLimitError
 from stickprob.oracle import (
     MultiPoly,
@@ -104,11 +105,21 @@ class TestSymbolicTruncated:
             symbolic_pn_truncated(2, 3, Fraction(5, 4))
 
     def test_matches_closed_form_past_n_8(self):
+        # m_1 a >= 1 in both of these, so both values are 0
         for p, n, a in ((2, 10, Fraction(1, 10)), (3, 15, Fraction(1, 100))):
             assert (
                 symbolic_pn_truncated(p, n, a).fraction
                 == pn_pickup_truncated(p, n, a).fraction
             ), (p, n, a)
+        # at a = 1/(2 m_1) the shortest stick keeps half its range, so the
+        # values are nonzero and the rescaling past n = 6 is compared
+        for p, ns in ((2, (7, 10, 16, 24, 32)), (3, (7, 10, 12, 15)),
+                      (4, (7, 9, 12)), (5, (7, 9, 11))):
+            for n in ns:
+                a = Fraction(1, 2 * m_constants(p, n)[0])
+                value = symbolic_pn_truncated(p, n, a).fraction
+                assert value == pn_pickup_truncated(p, n, a).fraction, (p, n, a)
+                assert value != 0, (p, n, a)
 
 
 class TestTermLimit:

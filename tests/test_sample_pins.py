@@ -1,4 +1,4 @@
-"""Lengths drawn by ``sample_lengths``, pinned exactly.
+"""Lengths written by ``montecarlo._lengths_into``, pinned exactly.
 
 Every model at n in {1, 2, 5, 20}, with the exponential model at two rates
 so that the division by the rate is pinned too.  Each pin is the sha256 of
@@ -13,7 +13,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from stickprob.montecarlo import DistributionSpec, sample_lengths
+from stickprob.montecarlo import _lengths_into
+from stickprob.specs import DistributionSpec
 
 DRAWS = 4
 DISTS = {
@@ -25,11 +26,19 @@ DISTS = {
 }
 
 
+def draw_lengths(dist: DistributionSpec, n: int, gen: np.random.Generator) -> np.ndarray:
+    """One row of n sorted lengths from the next uniforms of ``gen``."""
+    u = gen.random((1, dist.uniforms_per_trial(n)))
+    x = np.empty((1, n))
+    _lengths_into(dist, u, x)
+    return x[0]
+
+
 def lengths_digest(name: str, n: int) -> str:
     """One line per draw, four draws from one Philox stream per cell."""
     gen = np.random.Generator(np.random.Philox(key=1000 * n + len(name)))
     lines = [
-        " ".join(float.hex(x) for x in sample_lengths(DISTS[name], n, gen).tolist())
+        " ".join(float.hex(x) for x in draw_lengths(DISTS[name], n, gen).tolist())
         for _ in range(DRAWS)
     ]
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
@@ -87,6 +96,6 @@ def test_sampled_lengths(name, n):
 
 def test_broken_single_piece_is_the_whole_stick():
     gen = np.random.Generator(np.random.Philox(key=3))
-    lengths = sample_lengths(DistributionSpec.broken_stick(), 1, gen)
+    lengths = draw_lengths(DistributionSpec.broken_stick(), 1, gen)
     assert lengths.dtype == np.float64
     assert lengths.tolist() == [1.0]
