@@ -28,7 +28,6 @@ from .closedform import (
 from .constraints import m_constants, s_constants
 from .errors import (
     DomainError,
-    InfeasiblePrefixError,
     ResourceLimitError,
     SticksError,
     UnsupportedFormulaError,
@@ -43,7 +42,6 @@ __all__ = [
     "DomainError",
     "EventSpec",
     "ExactProb",
-    "InfeasiblePrefixError",
     "MCEstimate",
     "ResourceLimitError",
     "StepFibTable",

@@ -2,8 +2,8 @@
 
 Once the n lengths are sorted increasingly, "no p+1 of them form a
 (p+1)-gon" reduces to the window inequalities
-l_{i-p} + ... + l_{i-1} <= l_i.  Propagating these forward bounds every
-stick from below by a linear form in the shorter sticks, and from above by
+l_{i-p} + ... + l_{i-1} <= l_i.  Propagating these forward gives every
+stick a minimum length, a linear form in the shorter sticks, and a maximum
 
     l_i_max = (1 - f_i(l_1, ..., l_{i-1})) / m_i
 
@@ -27,24 +27,17 @@ Three derivations of the same denominators live here on purpose:
 * the inverse-Jacobian row recurrence (``m_constants_via_jacobian``).
 
 Their exact agreement is a core check of the verification suite.
-The bound table of each (p, n, model) in ``BOUND_MODELS`` mixes the
-closed-form denominators with the vector-route numerator forms.
-``bounds`` evaluates it on Fractions, the one evaluator of a stick's
-interval: sampling, validation and the telescoping spot check all read
-it.  It takes exact lengths only: a float raises rather than give an
-inexact bound.  ``max_min_identity_mismatches`` proves the telescoping
-identity on the table's forms themselves, for every prefix at once.
+``max_min_identity_mismatches`` reads the closed-form denominators beside
+the vector-route numerator forms and the minimum forms, and proves the
+telescoping identity between consecutive intervals on those integer
+forms, for every prefix at once.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from operator import mul
-from random import Random
-from typing import Sequence, Union
 
-from .errors import DomainError, InfeasiblePrefixError, require_p, require_subset
+from .errors import DomainError, require_p, require_subset
 from .sequences import fib, fib_prefix_sum
 
 __all__ = [
@@ -55,17 +48,12 @@ __all__ = [
     "m_constants",
     "m_constants_via_jacobian",
     "s_constants",
-    "bounds",
-    "validate_prefix",
-    "check_max_min_identity",
     "max_min_identity_mismatches",
-    "sample_feasible_prefix",
 ]
 
 # the sampling models (as named in specs.MODELS) with bound forms
 BOUND_MODELS = ("pickup", "broken")
 
-Rational = Union[Fraction, int]
 # a bound form: coeffs[j] multiplies l_{j+1}
 Form = tuple[int, ...]
 
@@ -199,132 +187,21 @@ def m_constants_via_jacobian(p: int, n: int) -> tuple[int, ...]:
     return tuple(rows[n - 1])
 
 
-@lru_cache(maxsize=None)
-def _bound_table(
-    p: int, n: int, model: str
-) -> tuple[tuple[Form, ...], tuple[int, ...], tuple[Form, ...]]:
-    """(min forms, max denominators, max numerator forms) for sticks 1..n.
-
-    Denominators come from the closed forms; numerator forms come from the
-    vector route.  The two routes agree exactly (verified elsewhere), so
-    mixing them is safe.  Stick n is capped at 1 by pick-up sticks and at
-    1 - (l_1 + ... + l_{n-1}) by the unit total of the broken stick.
-    """
-    _check_model(model)
-    require_subset(p, n)
-    if model == "pickup":
-        denominators = m_constants(p, n)
-    else:
-        denominators = s_constants(p, n) + (1,)
-    mins = tuple(min_length_form(p, i) for i in range(1, n + 1))
-    numerators = tuple(max_length_form(p, n, i, model)[1] for i in range(1, n))
-    last = (int(model == "broken"),) * (n - 1)
-    return mins, denominators, numerators + (last,)
-
-
-def _as_fractions(prefix: Sequence) -> tuple[Fraction, ...]:
-    """The lengths as Fractions; DomainError for one that is not a finite
-    rational."""
-    vals = []
-    for x in prefix:
-        try:
-            vals.append(Fraction(x))
-        except (TypeError, ValueError, ArithmeticError) as exc:  # None, "x", nan, inf
-            raise DomainError(f"lengths must be finite rationals, got {x!r}") from exc
-    return tuple(vals)
-
-
-def bounds(
-    p: int, n: int, prefix: Sequence[Rational], model: str = "pickup"
-) -> tuple[Fraction, Fraction]:
-    """The [min, max] interval for stick len(prefix)+1 given the exact
-    lengths of the sticks before it: the bound table's forms evaluated on
-    Fractions.  Numeric strings and Decimals are exact and accepted; a
-    float raises rather than give an inexact bound."""
-    mins, denominators, numerators = _bound_table(p, n, model)
-    i = len(prefix)  # table row of the stick bounded
-    if not 0 <= i < n:
-        raise DomainError(f"prefix selects stick {i + 1}, valid range 1..{n}")
-    if any(isinstance(x, float) for x in prefix):
-        raise DomainError("lengths must be exact rationals, not floats")
-    vals = _as_fractions(prefix)
-    lo = sum(map(mul, vals, mins[i]), Fraction(0))
-    hi = (1 - sum(map(mul, vals, numerators[i]), Fraction(0))) / denominators[i]
-    return lo, hi
-
-
-def validate_prefix(
-    p: int, n: int, prefix: Sequence[Rational], model: str = "pickup"
-) -> tuple[Fraction, ...]:
-    """Check l_1..l_k each sit inside their bound interval, and that all n
-    pieces of a broken stick total 1; return Fractions."""
-    _bound_table(p, n, model)  # rejects a bad (p, n, model) for any prefix
-    vals = _as_fractions(prefix)
-    if len(vals) > n:
-        raise DomainError(f"prefix longer than n = {n}")
-    for j, x in enumerate(vals):
-        lo, hi = bounds(p, n, vals[:j], model)
-        if not lo <= x <= hi:
-            raise InfeasiblePrefixError(
-                f"l_{j + 1} = {x} outside [{lo}, {hi}] ({model}, p={p}, n={n})"
-            )
-    # stick n's interval bounds it by the rest of the unit stick, but the
-    # unit total fixes it there
-    if model == "broken" and len(vals) == n and sum(vals) != 1:
-        raise InfeasiblePrefixError(
-            f"pieces total {sum(vals)}, not 1 ({model}, p={p}, n={n})"
-        )
-    return vals
-
-
-def _last_telescoping_stick(n: int, model: str) -> int:
-    """The telescoping identity reaches stick n in the pick-up model but only
-    stick n-1 in the broken model: the last broken piece is determined by
-    the others, so its interval does not telescope."""
-    return n if model == "pickup" else n - 1
-
-
-def check_max_min_identity(
-    p: int,
-    n: int,
-    lengths_prefix: Sequence[Rational],
-    model: str = "pickup",
-) -> bool:
-    """Exact check of the telescoping identity linking consecutive bound
-    intervals at i = len(prefix) + 1:
-
-        m_i * (l_i_max - l_i_min) == m_{i-1} * (l_{i-1}_max - l_{i-1})
-
-    with every bound evaluated from the constraint forms on the given
-    feasible prefix.  The right-hand factor subtracts the realized
-    l_{i-1}, which is what the two pinned length sequences in the
-    derivation actually equate.  Valid for i up to n in the pick-up model
-    and up to n-1 in the broken model.
-
-    This is the spot check on one sampled prefix, through ``bounds``;
-    ``max_min_identity_mismatches`` proves the identity for every prefix at
-    once, on the forms themselves.
-    """
-    vals = validate_prefix(p, n, lengths_prefix, model)
-    i = len(vals) + 1
-    top = _last_telescoping_stick(n, model)
-    if not 2 <= i <= top:
-        raise DomainError(
-            f"identity covers prefixes of 1..{top - 1} lengths, got {len(vals)}"
-        )
-    denominators = _bound_table(p, n, model)[1]
-    lo_i, hi_i = bounds(p, n, vals, model)
-    _, hi_prev = bounds(p, n, vals[:-1], model)
-    lhs = denominators[i - 1] * (hi_i - lo_i)
-    return lhs == denominators[i - 2] * (hi_prev - vals[-1])
-
-
 def max_min_identity_mismatches(
     p: int, n: int, model: str = "pickup"
 ) -> tuple[int, ...]:
-    """The sticks i at which the identity of ``check_max_min_identity``
-    fails as an identity of affine forms over l_1..l_{i-1}, read off the
-    bound table; empty when it holds at every feasible prefix.
+    """The sticks i at which the telescoping identity linking consecutive
+    bound intervals,
+
+        m_i * (l_i_max - l_i_min) == m_{i-1} * (l_{i-1}_max - l_{i-1}),
+
+    fails as an identity of affine forms over l_1..l_{i-1}; empty when it
+    holds at every feasible prefix.  The broken model reads s for m.  The
+    right-hand factor subtracts the realized l_{i-1}, which is what the two
+    pinned length sequences in the derivation equate.  The identity reaches
+    stick n in the pick-up model but only stick n-1 in the broken model:
+    the last broken piece is fixed by the others, so its interval does not
+    telescope.
 
     With l_i_max = (1 - N_i) / m_i, the left side is the form
     1 - N_i - m_i * Min_i and the right side 1 - N_{i-1} - m_{i-1} * l_{i-1},
@@ -333,39 +210,24 @@ def max_min_identity_mismatches(
     Both sides carry the same constant 1, since no form has a constant
     term.  Equal forms make the identity hold at every prefix; on a
     feasible region with an interior, unequal ones make it fail somewhere.
+    The denominators come from the closed forms, the numerator forms N_i
+    from the vector route.
     """
-    mins, denominators, numerators = _bound_table(p, n, model)
+    _check_model(model)
+    require_subset(p, n)
+    if model == "pickup":
+        denominators, top = m_constants(p, n), n
+    else:
+        denominators, top = s_constants(p, n), n - 1
+    # stick n, reached by pick-up sticks only, is capped at 1: N_n = 0
+    numerators = [
+        max_length_form(p, n, i, model)[1] if i < n else (0,) * (n - 1)
+        for i in range(1, top + 1)
+    ]
     bad = []
-    for i in range(2, _last_telescoping_stick(n, model) + 1):
-        cur, prev = i - 1, i - 2  # table rows of sticks i and i-1
-        m = denominators[cur]
-        lhs = tuple(a + m * b for a, b in zip(numerators[cur], mins[cur]))
-        if lhs != numerators[prev] + (denominators[prev],):
+    for i in range(2, top + 1):
+        m = denominators[i - 1]
+        lhs = tuple(a + m * b for a, b in zip(numerators[i - 1], min_length_form(p, i)))
+        if lhs != numerators[i - 2] + (denominators[i - 2],):
             bad.append(i)
     return tuple(bad)
-
-
-def sample_feasible_prefix(
-    p: int,
-    n: int,
-    k: int,
-    rng: Random,
-    model: str = "pickup",
-    max_denominator: int = 64,
-) -> tuple[Fraction, ...]:
-    """Draw l_1..l_k inside the constraint region, each uniform on a
-    rational grid over its own [min, max] interval.
-
-    Feasible by construction; endpoints are included deliberately so the
-    degenerate pinned configurations get exercised too.
-    """
-    if not 1 <= k <= n - 1:
-        raise DomainError(f"prefix length must be 1..{n - 1}, got {k}")
-    if max_denominator < 1:
-        raise DomainError("max_denominator must be >= 1")
-    prefix: list[Fraction] = []
-    for _ in range(k):
-        lo, hi = bounds(p, n, prefix, model)
-        r = Fraction(rng.randrange(max_denominator + 1), max_denominator)
-        prefix.append(lo + (hi - lo) * r)
-    return tuple(prefix)

@@ -12,10 +12,6 @@ class DomainError(SticksError, ValueError):
     """An argument lies outside the domain an operation is defined on."""
 
 
-class InfeasiblePrefixError(DomainError):
-    """A stick-length prefix violates its constraint system."""
-
-
 class UnsupportedFormulaError(SticksError):
     """No closed form is known; the caller should fall back to Monte Carlo."""
 

@@ -139,8 +139,8 @@ def _term_count(p: int, n: int, i: int) -> int:
     """The number of terms left once sticks n..i are integrated out.
 
     The integrand then reads only the v = min(p, i-1) sticks below i (the
-    window of their bounds), and holds every monomial in them of total
-    degree at most n-i+1: C(n-i+1+v, v) terms.
+    window of their interval forms), and holds every monomial in them of
+    total degree at most n-i+1: C(n-i+1+v, v) terms.
     """
     v = min(p, i - 1)
     return comb(n - i + 1 + v, v)

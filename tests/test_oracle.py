@@ -3,8 +3,8 @@ from math import comb, gcd
 
 import pytest
 
-from stickprob import oracle
-from stickprob.closedform import pn_pickup, pn_pickup_truncated
+from stickprob import oracle, verify
+from stickprob.closedform import ExactProb, pn_pickup, pn_pickup_truncated
 from stickprob.constraints import m_constants
 from stickprob.errors import DomainError, ResourceLimitError
 from stickprob.oracle import (
@@ -120,6 +120,16 @@ class TestSymbolicTruncated:
                 value = symbolic_pn_truncated(p, n, a).fraction
                 assert value == pn_pickup_truncated(p, n, a).fraction, (p, n, a)
                 assert value != 0, (p, n, a)
+
+    def test_exact_suite_catches_a_form_wrong_past_n_6(self, monkeypatch):
+        def halved_past_6(p, n, a):
+            prob = pn_pickup_truncated(p, n, a)
+            return ExactProb.from_fraction(prob.fraction / 2) if n >= 7 else prob
+
+        monkeypatch.setattr(verify, "pn_pickup_truncated", halved_past_6)
+        failed = [r for r in verify.run_suite("exact") if not r.passed]
+        assert [r.name for r in failed] == ["symbolic_truncated_matches_closed_form"]
+        assert failed[0].detail == "p=2 n=8 a=1/42; p=3 n=8 a=1/62; p=4 n=7 a=1/26"
 
 
 class TestTermLimit:
