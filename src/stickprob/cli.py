@@ -80,11 +80,26 @@ def _truncation(model: str, a: str | None) -> Fraction | None:
     return require_truncation(a)
 
 
-def _require_n(event: str, n: int | str | None) -> None:
-    if event == "pr" and n is not None:
+def _exact_request(problem: str, model: str, n: int | str | None, a: str | None):
+    """The closed form and --a rational for compute and table, in the order
+    that puts exit 3 (no closed form) before any usage error."""
+    form = closed_form(problem, model)
+    a_value = _truncation(model, a)
+    if problem == "pr" and n is not None:
         raise click.UsageError("pr does not depend on --n")
-    if event != "pr" and n is None:
-        raise click.UsageError(f"{event} requires --n")
+    if problem != "pr" and n is None:
+        raise click.UsageError(f"{problem} requires --n")
+    return form, a_value
+
+
+def _inputs(**resolved) -> dict:
+    """The request echo: each parameter click parsed, in declaration order
+    (``ctx.params`` follows argv order).  ``resolved`` holds the values echoed
+    in another form than parsed; a Fraction echoes as its num/den text."""
+    ctx = click.get_current_context()
+    values = {param.name: resolved.get(param.name, ctx.params[param.name])
+              for param in ctx.command.params}
+    return {name: str(v) if isinstance(v, Fraction) else v for name, v in values.items()}
 
 
 def _exact_payload(prob: ExactProb, digits: int) -> dict:
@@ -177,21 +192,12 @@ _workers_option = click.option("--workers", type=click.IntRange(min=1), default=
 def compute(problem: str, model: str, p: int, n: int | None,
             a: str | None, decimal_digits: int) -> None:
     """Evaluate one closed-form probability exactly."""
-    form = closed_form(problem, model)
-    a_value = _truncation(model, a)
-    _require_n(problem, n)
+    form, a_value = _exact_request(problem, model, n, a)
     prob = form(p, n, a_value)
     result = _exact_payload(prob, decimal_digits)
     if problem != "pr":
         result["vacuous"] = is_vacuous(p, n)
-    _emit("compute", {
-        "problem": problem,
-        "model": model,
-        "p": p,
-        "n": n,
-        "a": str(a_value) if a_value is not None else None,
-        "decimal_digits": decimal_digits,
-    }, result=result)
+    _emit("compute", _inputs(a=a_value), result=result)
 
 
 # ---------------------------------------------------------------------------
@@ -232,18 +238,8 @@ def simulate(event: str, model: str, p: int, n: int, trials: int, seed: int,
     if exact is not None and mc.std_err > 0:
         z = (mc.p_hat - float(exact)) / mc.std_err
     result = _exact_payload(exact, decimal_digits) if exact is not None else None
-    _emit("simulate", {
-        "event": event,
-        "model": model,
-        "p": p,
-        "n": n,
-        "trials": trials,
-        "seed": seed,
-        "workers": workers,
-        "a": str(a_value) if a_value is not None else None,
-        "rate": dist.rate if model == "exponential" else None,
-        "decimal_digits": decimal_digits,
-    }, result=result, mc={
+    inputs = _inputs(a=a_value, rate=dist.rate if model == "exponential" else None)
+    _emit("simulate", inputs, result=result, mc={
         "p_hat": mc.p_hat,
         "std_err": mc.std_err,
         "trials": mc.trials,
@@ -261,29 +257,27 @@ def simulate(event: str, model: str, p: int, n: int, trials: int, seed: int,
 @cli.command()
 @_event_argument
 @_model_option
-@click.option("--p", "p_range", type=str, required=True, help="p or lo:hi range.")
-@click.option("--n", "n_range", type=str, default=None, help="n or lo:hi range (not for pr).")
+@click.option("--p", "p", type=str, required=True, help="p or lo:hi range.")
+@click.option("--n", "n", type=str, default=None, help="n or lo:hi range (not for pr).")
 @_a_option
 @click.option("--output", type=click.Choice(["json", "csv"]), default="json",
               show_default=True)
 @_digits_option
-def table(problem: str, model: str, p_range: str, n_range: str | None,
+def table(problem: str, model: str, p: str, n: str | None,
           a: str | None, output: str, decimal_digits: int) -> None:
     """Tabulate a closed form over inclusive p and n ranges."""
-    form = closed_form(problem, model)
-    a_value = _truncation(model, a)
-    _require_n(problem, n_range)
-    p_lo, p_hi = _parse_range(p_range, "--p")
+    form, a_value = _exact_request(problem, model, n, a)
+    p_lo, p_hi = _parse_range(p, "--p")
     ns = [None]
-    if n_range is not None:
-        n_lo, n_hi = _parse_range(n_range, "--n")
+    if n is not None:
+        n_lo, n_hi = _parse_range(n, "--n")
         ns = range(n_lo, n_hi + 1)
 
     cells = []
-    for p in range(p_lo, p_hi + 1):
-        for n in ns:
-            prob = form(p, n, a_value)
-            cells.append({"p": p, "n": n, **_exact_payload(prob, decimal_digits)})
+    for p_i in range(p_lo, p_hi + 1):
+        for n_i in ns:
+            prob = form(p_i, n_i, a_value)
+            cells.append({"p": p_i, "n": n_i, **_exact_payload(prob, decimal_digits)})
 
     if output == "csv":
         buf = io.StringIO()
@@ -301,15 +295,7 @@ def table(problem: str, model: str, p_range: str, n_range: str | None,
             raise _oversized(exc) from exc
         click.echo(buf.getvalue(), nl=False)
         return
-    _emit("table", {
-        "problem": problem,
-        "model": model,
-        "p": p_range,
-        "n": n_range,
-        "a": str(a_value) if a_value is not None else None,
-        "output": output,
-        "decimal_digits": decimal_digits,
-    }, cells=cells)
+    _emit("table", _inputs(a=a_value), cells=cells)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +322,7 @@ def constants_fib(p: int, i_range: str) -> None:
 @click.option("--n", "n", type=int, required=True)
 def constants_m(p: int, n: int) -> None:
     """Pick-up sticks denominators m_1..m_n."""
-    _emit("constants", {"kind": "m", "p": p, "n": n},
+    _emit("constants", {"kind": "m", **_inputs()},
           result={"values": list(m_constants(p, n))})
 
 
@@ -345,7 +331,7 @@ def constants_m(p: int, n: int) -> None:
 @click.option("--n", "n", type=int, required=True)
 def constants_s(p: int, n: int) -> None:
     """Broken-stick denominators s_1..s_{n-1} (s_n = 1 implied)."""
-    _emit("constants", {"kind": "s", "p": p, "n": n},
+    _emit("constants", {"kind": "s", **_inputs()},
           result={"values": list(s_constants(p, n)), "terminal": 1})
 
 
@@ -366,7 +352,7 @@ def constants_emax(p: int, n: int, i: int, model: str) -> None:
         }
     except ValueError as exc:
         raise _oversized(exc) from exc
-    _emit("constants", {"kind": "emax", "p": p, "n": n, "i": i, "model": model}, result=result)
+    _emit("constants", {"kind": "emax", **_inputs()}, result=result)
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +373,7 @@ def verify(suite: str, trials: int, seed: int, workers: int) -> None:
 
     results = run_suite(suite, trials=trials, seed=seed, workers=workers)
     passed = all(result.passed for result in results)
-    _emit("verify", {"suite": suite, "trials": trials, "seed": seed, "workers": workers},
-          checks=[asdict(result) for result in results], passed=passed)
+    _emit("verify", _inputs(), checks=[asdict(result) for result in results], passed=passed)
     if not passed:
         sys.exit(1)
 

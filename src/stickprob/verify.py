@@ -44,14 +44,13 @@ from .constraints import (
 from .errors import DomainError
 from .sequences import fib, fib_prefix_sum, t_value
 from .specs import EVENTS, NO_POLYGON, RANDOM_SUBSET_POLYGON, DistributionSpec, EventSpec
-from .specs import MC_BASE_SEED  # re-exported: the concordance suite's default seed
+from .specs import MC_BASE_SEED
 
 __all__ = [
     "CheckResult",
     "run_concordance",
     "run_suite",
     "EXACT_CHECKS",
-    "MC_BASE_SEED",
 ]
 
 
@@ -252,7 +251,7 @@ def check_exponential_matches_broken() -> CheckResult:
     bad = [
         f"p={p} n={n}"
         for p in range(2, 6)
-        for n in range(p + 1, 13)
+        for n in range(p + 1, 21)
         if pn_exponential(p, n).fraction != pn_broken(p, n).fraction
     ]
     return _result("exponential_matches_broken", bad)
@@ -263,6 +262,10 @@ def check_complement_at_minimal_n() -> CheckResult:
         f"p={p}"
         for p in (2, 3)
         if pa_pickup(p, p + 1).fraction != 1 - pn_pickup(p, p + 1).fraction
+    ] + [
+        f"pr p={p}"
+        for p in range(2, 13)
+        if pr_pickup(p).fraction != 1 - pn_pickup(p, p + 1).fraction
     ]
     return _result("complement_at_minimal_n", bad)
 

@@ -91,7 +91,7 @@ def test_c07_matrix_recurrence_closed_forms():
 
 def test_c08_interval_identity_on_random_prefixes():
     _report(
-        "C8 interval telescoping identity on the bound forms and sampled prefixes",
+        "C8 interval telescoping identity on the bound forms",
         verify.check_interval_telescoping_identity(),
     )
 

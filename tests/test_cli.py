@@ -362,3 +362,29 @@ class TestVerify:
         assert res.exit_code == 0
         payload = json.loads(res.output)
         assert any(c["name"].startswith("mc_concordance") for c in payload["checks"])
+
+
+# every option of each command's echo, so that reversing them reorders argv
+ARGV_ORDER = [
+    ["compute", "pn", "--model", "truncated", "--p", "2", "--n", "5", "--a", "2/8",
+     "--decimal-digits", "20"],
+    ["table", "pn", "--model", "broken", "--p", "2:3", "--n", "3:5", "--decimal-digits", "6"],
+    ["table", "pn", "--p", "2:3", "--n", "3:4", "--output", "csv", "--decimal-digits", "6"],
+    ["simulate", "--event", "pn", "--model", "exponential", "--p", "2", "--n", "4",
+     "--trials", "1000", "--seed", "7", "--workers", "1", "--rate", "2", "--decimal-digits", "8"],
+    ["constants", "m", "--p", "3", "--n", "6"],
+    ["constants", "emax", "--p", "2", "--n", "5", "--i", "3", "--model", "broken"],
+    ["verify", "--suite", "exact", "--trials", "10", "--seed", "5", "--workers", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", ARGV_ORDER, ids=" ".join)
+def test_option_order_leaves_stdout_unchanged(runner, argv):
+    """`inputs` follows the declared options, not argv, so reordering the
+    options on the command line changes no byte of stdout."""
+    first = next(i for i, word in enumerate(argv) if word.startswith("--"))
+    pairs = [argv[i:i + 2] for i in range(first, len(argv), 2)]
+    reordered = argv[:first] + [word for pair in reversed(pairs) for word in pair]
+    res, again = (invoke(runner, *args) for args in (argv, reordered))
+    assert res.exit_code == again.exit_code == 0
+    assert again.stdout == res.stdout

@@ -4,6 +4,7 @@ from math import factorial, gcd
 import pytest
 from hypothesis import given, strategies as st
 
+from stickprob import closedform, verify
 from stickprob.closedform import (
     _CLOSED_FORMS,
     MAX_DECIMAL_DIGITS,
@@ -268,3 +269,29 @@ def test_every_closed_form_has_a_concordance_target():
     Monte Carlo, so a new form cannot ship without a target."""
     shaken = {(event, model) for event, model, _, ns in _CONCORDANCE_GRID if ns}
     assert set(_CLOSED_FORMS) <= shaken
+
+
+def _broken_halved_past_12(p, n):
+    prob = pn_broken(p, n)
+    return ExactProb.from_fraction(prob.fraction / 2) if n >= 13 else prob
+
+
+def _pr_wrong_from_4(p):
+    return ExactProb.from_fraction(1 - Fraction(2, factorial(p))) if p >= 4 else pr_pickup(p)
+
+
+@pytest.mark.parametrize(("name", "mutant", "check", "detail"), [
+    ("pn_broken", _broken_halved_past_12, "exponential_matches_broken",
+     "p=2 n=13; p=2 n=14; p=2 n=15; p=2 n=16; and 28 more"),
+    ("pr_pickup", _pr_wrong_from_4, "complement_at_minimal_n",
+     "pr p=4; pr p=5; pr p=6; pr p=7; and 5 more"),
+], ids=["pn_broken_halved_past_n_12", "pr_pickup_wrong_from_p_4"])
+def test_exact_suite_catches_evaluator_mutant(monkeypatch, name, mutant, check, detail):
+    """An evaluator wrong only past the sizes most checks reach fails one
+    named exact check.  verify binds the evaluators by name, so the mutant
+    replaces both bindings."""
+    monkeypatch.setattr(closedform, name, mutant)
+    monkeypatch.setattr(verify, name, mutant)
+    failed = [r for r in verify.run_suite("exact") if not r.passed]
+    assert [r.name for r in failed] == [check]
+    assert failed[0].detail == detail

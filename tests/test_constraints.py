@@ -16,7 +16,6 @@ from stickprob.constraints import (
     s_constants,
 )
 from stickprob.errors import DomainError
-from stickprob.montecarlo import estimate
 from stickprob.oracle import symbolic_pn_pickup
 from stickprob.sequences import fib, fib_prefix_sum
 from stickprob.specs import MODELS, RANDOM_SUBSET_POLYGON, DistributionSpec, EventSpec
@@ -42,7 +41,8 @@ def test_rejects_p_below_two(call, p):
 _SUBSET_CALLS = {
     "constraints": lambda: m_constants(3, 3),
     "oracle": lambda: symbolic_pn_pickup(3, 3),
-    "estimate": lambda: estimate(
+    # the one site that needs numpy: skipped where it cannot be imported
+    "estimate": lambda: pytest.importorskip("stickprob.montecarlo").estimate(
         EventSpec(RANDOM_SUBSET_POLYGON, 3), DistributionSpec.uniform01(), 3, 10, 0
     ),
 }
