@@ -10,6 +10,7 @@ from stickprob.closedform import (
     MAX_DECIMAL_DIGITS,
     ExactProb,
     _product,
+    closed_form,
     is_vacuous,
     pa_pickup,
     pn_broken,
@@ -21,7 +22,7 @@ from stickprob.closedform import (
 from stickprob.constraints import m_constants
 from stickprob.errors import DomainError, ResourceLimitError, UnsupportedFormulaError
 from stickprob.oracle import symbolic_pn_truncated
-from stickprob.sequences import fib
+from stickprob.sequences import StepFibTable, fib
 from stickprob.verify import _CONCORDANCE_GRID, _pn_pickup_quadrilateral
 
 
@@ -248,6 +249,34 @@ class TestPrPickup:
     def test_rejects_small_p(self):
         with pytest.raises(DomainError):
             pr_pickup(1)
+
+
+# (entry point, argument) for every p and n an exact entry point reads:
+# each (event, model) evaluator (pr reads no n), m_constants, StepFibTable
+_INT_ARGUMENTS = [
+    *((f"{event}-{model}", arg) for event, model in _CLOSED_FORMS
+      for arg in ("p", "n") if arg == "p" or event != "pr"),
+    ("m_constants", "p"), ("m_constants", "n"), ("StepFibTable", "p"),
+]
+
+
+def _evaluate(name, p, n):
+    if name == "m_constants":
+        return m_constants(p, n)
+    if name == "StepFibTable":
+        return StepFibTable(p).fib(n)
+    return closed_form(*name.split("-"))(p, n, 0)
+
+
+@pytest.mark.parametrize("bad", [5.0, Fraction(5), True], ids=["float", "Fraction", "bool"])
+@pytest.mark.parametrize(("name", "arg"), _INT_ARGUMENTS, ids=["-".join(c) for c in _INT_ARGUMENTS])
+def test_p_and_n_must_be_ints(name, arg, bad):
+    """A p or n that is not an int is refused, never evaluated as the number
+    it compares equal to: a float n gave pa_pickup(3, 5.0) the fraction of a
+    binary float in place of 23/36, and True passed as n = 1."""
+    p, n = (bad, 6) if arg == "p" else (3, bad)
+    with pytest.raises(DomainError, match=f"^[a-z ]+ {arg} must be an int, got "):
+        _evaluate(name, p, n)
 
 
 def test_all_outputs_reduced_and_in_unit_interval():

@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
-from stickprob import sequences
+from stickprob import sequences, verify
 from stickprob.cli import cli
 from stickprob.errors import DomainError
 from stickprob.sequences import StepFibTable, fib, fib_prefix_sum, t_value
@@ -17,7 +17,6 @@ from stickprob.sequences import StepFibTable, fib, fib_prefix_sum, t_value
 def fresh_tables(monkeypatch):
     """Empty memo tables for this test only; the shared ones come back after."""
     monkeypatch.setattr(sequences, "_TABLES", {})
-    monkeypatch.setattr(sequences, "_T_TABLES", {})
 
 
 def _t_reference(p, k):
@@ -251,7 +250,6 @@ def test_large_p_stores_no_zero_block(fresh_tables, call):
     # the p - 1 zeros before index 1 would take 8 bytes each
     call()  # imports and first-call caches outside the measured run
     sequences._TABLES.clear()
-    sequences._T_TABLES.clear()
     tracemalloc.start()
     try:
         call()
@@ -259,3 +257,51 @@ def test_large_p_stores_no_zero_block(fresh_tables, call):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+# Mutants of the shared table: each runs on fresh tables and must fail the
+# exact verify suite.  Both t_matches_prefix_sums and
+# exponential_matches_broken read one table through the shared loop on each
+# side, so only a fault outside that loop shows in them; the vector and
+# Jacobian routes read no table and catch the rest.
+
+
+def _failed_exact_checks():
+    return {r.name: r.detail for r in verify.run_suite("exact") if not r.passed}
+
+
+def test_exact_suite_catches_t_step_of_two(fresh_tables, monkeypatch):
+    monkeypatch.setattr(sequences._TTable, "_c", 2)
+    assert _failed_exact_checks() == {
+        "t_matches_prefix_sums": "p=2 k=2; p=2 k=3; p=2 k=4; p=2 k=5; and 191 more",
+        "exponential_matches_broken": "p=2 n=3; p=2 n=4; p=2 n=5; p=2 n=6; and 62 more",
+    }
+
+
+def _extend_window_one_too_wide(self, i):
+    with self._lock:
+        sums = self._sums
+        while i >= len(sums):
+            low = len(sums) - 2 - self.p
+            sums.append(2 * sums[-1] - (sums[low] if low > 0 else 0) + self._c)
+    return sums
+
+
+def test_exact_suite_catches_window_one_too_wide(fresh_tables, monkeypatch):
+    """The shared loop summing p + 1 terms feeds both tables alike, so
+    t_matches_prefix_sums passes under it; the routes that read no table
+    do not."""
+    monkeypatch.setattr(StepFibTable, "_extend", _extend_window_one_too_wide)
+    failed = _failed_exact_checks()
+    assert {"e_vector_leads_with_step_fib", "s_matches_vector_route",
+            "triple_derivation_of_m"} <= failed.keys()
+    assert "t_matches_prefix_sums" not in failed
+
+
+def test_exact_suite_catches_one_wrong_step_fib_term(fresh_tables, monkeypatch):
+    """F_9 one too large in the step-Fibonacci table, the t table untouched."""
+    fib = StepFibTable.fib
+    monkeypatch.setattr(StepFibTable, "fib", lambda self, i: fib(self, i) + (i == 9))
+    monkeypatch.setattr(sequences._TTable, "fib", fib)
+    failed = _failed_exact_checks()
+    assert {"e_vector_leads_with_step_fib", "triple_derivation_of_m"} <= failed.keys()
