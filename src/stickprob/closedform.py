@@ -10,14 +10,16 @@ n-1 uniform positions).
 Everything returns an ``ExactProb``: a reduced big-integer fraction.  The
 denominator formulas live in ``constraints``; this module adds only the
 normalisers (1, n!, the truncation scale) and one balanced product tree
-over the n factors (``_product``).  ``closed_form`` is the one place that
-says which evaluator serves which (event, model) pair.
+over the n factors (``_product``).  Exponential PN reads the broken-stick
+product.  ``closed_form`` is the one place that says which evaluator
+serves which (event, model) pair.
 
 Cross-route checks live in ``verify`` and the tests, which also run under
 ``python -O``.  The one ``assert`` left, in ``pn_pickup``, compares the
 m-constant product with the same tail-corrected formula over the
 step-Fibonacci numbers, so it checks nothing; it stays only because the
-benchmark's ``exact-raises`` mutation patches that line.
+benchmark's ``exact-raises`` mutation patches that line, as its
+``exact-value`` mutation patches the return line of ``pn_broken``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Iterable, Union
 from .constraints import _tail_corrected, m_constants, s_constants
 from .errors import DomainError, ResourceLimitError, UnsupportedFormulaError
 from .errors import require_n, require_p, require_truncation
-from .sequences import fib, t_value
+from .sequences import fib
 
 __all__ = [
     "ExactProb",
@@ -176,22 +178,15 @@ def pn_broken(p: int, n: int) -> ExactProb:
     require_n(n)
     if is_vacuous(p, n):
         return ExactProb(1, 1)
-    return ExactProb.from_fraction(Fraction(factorial(n), _product(s_constants(p, n))))
+    den = _product(s_constants(p, n))
+    return ExactProb.from_fraction(Fraction(factorial(n), den))
 
 
 def pn_exponential(p: int, n: int) -> ExactProb:
-    """PN for n independent exponential lengths.
-
-    The rate drops out (both the density factor and the integration
-    variable scale cancel), and the value coincides exactly with the
-    broken-stick probability.
-    """
-    require_p(p)
-    require_n(n)
-    if is_vacuous(p, n):
-        return ExactProb(1, 1)
-    den = _product(_tail_corrected(t_value, p, n, n))
-    return ExactProb.from_fraction(Fraction(factorial(n), den))
+    """PN for n independent exponential lengths.  The rate drops out, and
+    integrating the tails stick by stick (``oracle.exponential_rates``)
+    gives the broken-stick product exactly, so that value is returned."""
+    return pn_broken(p, n)
 
 
 def pa_pickup(p: int, n: int) -> ExactProb:

@@ -18,8 +18,7 @@ reciprocal denominators are exactly the closed-form probabilities.
 Three derivations of the same denominators live here on purpose:
 
 * closed forms over step-Fibonacci numbers (``m_constants``,
-  ``s_constants``, one tail-corrected loop, which ``closedform`` also
-  runs over the exponential model's t sequence) -- the production route;
+  ``s_constants``, one tail-corrected loop) -- the production route;
 * one chain of coefficient vectors e_k that unrolls the window recurrence
   (``e_vector``, ``max_length_form``): pick-up sticks read e_{n-i+1},
   broken sticks its running sum, and both read the numerator forms off

@@ -12,6 +12,11 @@ The integrator shares only the bound *forms* with the production code
 (the minimum forms and the vector-route maximum forms), never the
 closed-form denominators, which is what makes it an oracle for them.
 
+``exponential_rates`` is the tail chain for exponential lengths: each
+stick integrates from its minimum form to infinity, and PN is n! over the
+product of the rates that accumulate.  It reads the minimum forms only,
+no sequence table and no closed-form constant.
+
 ``r_vector`` iterates the linear recurrence obeyed by the exponents in
 the stepwise integration of exponential tails; its entries must line up
 with step-Fibonacci numbers, giving a second, algebra-only check.
@@ -34,6 +39,7 @@ __all__ = [
     "symbolic_pn_pickup",
     "symbolic_pn_truncated",
     "intermediates_vanish_at_max",
+    "exponential_rates",
     "r_vector",
 ]
 
@@ -204,6 +210,23 @@ def intermediates_vanish_at_max(p: int, n: int) -> bool:
         if not pinned.is_zero():
             return False
     return True
+
+
+def exponential_rates(p: int, n: int) -> tuple[int, ...]:
+    """The rates r_1..r_n of the tail chain: PN for n independent
+    exponential lengths is n! / (r_1 * ... * r_n).
+
+    The sorted lengths have density n! exp(-(l_1 + ... + l_n)), so every
+    rate starts at 1.  Integrating stick i (longest first) from min_i to
+    infinity leaves exp(-r_i * min_i) / r_i, which adds r_i times each
+    coefficient of min_i to the rate of that shorter stick.
+    """
+    require_subset(p, n)
+    rates = [1] * n
+    for i in range(n, 1, -1):
+        for j, c in enumerate(min_length_form(p, i)):
+            rates[j] += rates[i - 1] * c
+    return tuple(rates)
 
 
 def r_vector(p: int, l: int) -> tuple[int, ...]:

@@ -7,10 +7,9 @@ gives Fibonacci, p = 3 Tribonacci).  Values are plain Python ints on
 purpose: they leave 64-bit range near i = 90 already for p = 2, and the
 probability formulas multiply long runs of them.
 
-Both memoized sequences keep only their running sums S_k, with S_j = 0
-for j <= 0: a new sum is S_k = 2 S_{k-1} - S_{k-1-p} + c, and a term is
-S_k - S_{k-1}.  For the step-Fibonacci numbers c = 0 and S is SF; for
-the exponential model's t sequence c = 1 and S is T.
+One memoized table per p keeps only the running sums SF_k, with SF_j = 0
+for j <= 0: SF_k = 2 SF_{k-1} - SF_{k-1-p}, and a term is SF_k - SF_{k-1}.
+The exponential model's t sequence is SF itself, so it has no table.
 """
 
 from __future__ import annotations
@@ -32,8 +31,6 @@ class StepFibTable:
     than treated as zeros.
     """
 
-    _c = 0  # added to every new running sum
-
     def __init__(self, p: int) -> None:
         require_p(p)
         self.p = p
@@ -48,7 +45,7 @@ class StepFibTable:
             while i >= len(sums):
                 # a window reaching below index 1 subtracts S = 0, not a wrapped entry
                 low = len(sums) - 1 - self.p
-                sums.append(2 * sums[-1] - (sums[low] if low > 0 else 0) + self._c)
+                sums.append(2 * sums[-1] - (sums[low] if low > 0 else 0))
         return sums
 
     def fib(self, i: int) -> int:
@@ -71,42 +68,33 @@ class StepFibTable:
         return sums[i]
 
 
-class _TTable(StepFibTable):
-    _c = 1  # the t sequence: fib(k) is t_k and prefix_sum(k) is T_k
-
-
-# p -> (step-Fibonacci table, t table)
-_TABLES: dict[int, tuple[StepFibTable, StepFibTable]] = {}
+_TABLES: dict[int, StepFibTable] = {}
 _TABLES_LOCK = threading.Lock()
 
 
-def _tables(p: int) -> tuple[StepFibTable, StepFibTable]:
-    pair = _TABLES.get(p)
-    if pair is None:
+def _table(p: int) -> StepFibTable:
+    table = _TABLES.get(p)
+    if table is None or type(p) is not int:
+        require_p(p)  # refuses an equal float or Fraction that found an int key
         with _TABLES_LOCK:
-            pair = _TABLES.setdefault(p, (StepFibTable(p), _TTable(p)))
-    return pair
+            table = _TABLES.setdefault(p, StepFibTable(p))
+    return table
 
 
 def fib(p: int, i: int) -> int:
     """The i-th p-step Fibonacci number F_i^p."""
-    return _tables(p)[0].fib(i)
+    return _table(p).fib(i)
 
 
 def fib_prefix_sum(p: int, i: int) -> int:
     """SF_i^p, the sum of the first i p-step Fibonacci numbers."""
-    return _tables(p)[0].prefix_sum(i)
+    return _table(p).prefix_sum(i)
 
 
 def t_value(p: int, k: int) -> int:
     """t_k for the exponential-lengths formula: t_1 = 1, t_k = 0 for
-    2 - p <= k <= 0, and t_k = 1 + sum of the previous p values.
-
-    Equals fib_prefix_sum(p, k) for every k >= 1, but is memoized in a
-    table of its own, whose running sums T_k = t_1 + ... + t_k gain 1 at
-    each step, and never reads the step-Fibonacci table, so the two can be
-    checked against each other.
-    """
+    2 - p <= k <= 0, and t_k = 1 + sum of the previous p values.  Summing
+    F's recurrence over i = 2..k gives SF the same one, so t_k = SF_k."""
     if k < 1:
         raise DomainError(f"t_k is generated for k >= 1 only, got {k}")
-    return _tables(p)[1].fib(k)
+    return _table(p).prefix_sum(k)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, prod
 from random import Random
 
 from . import oracle
@@ -42,7 +42,7 @@ from .constraints import (
     s_constants,
 )
 from .errors import DomainError
-from .sequences import fib, fib_prefix_sum, t_value
+from .sequences import fib, fib_prefix_sum
 from .specs import EVENTS, NO_POLYGON, RANDOM_SUBSET_POLYGON, DistributionSpec, EventSpec
 from .specs import MC_BASE_SEED
 
@@ -76,11 +76,14 @@ def _result(name: str, failures: list[str]) -> CheckResult:
 
 
 def check_t_matches_prefix_sums() -> CheckResult:
+    # the tail-chain rates are the t values, tail-corrected the same way as s
     bad = [
-        f"p={p} k={k}"
+        f"p={p} i={i}"
         for p in range(2, 7)
-        for k in range(1, 41)
-        if t_value(p, k) != fib_prefix_sum(p, k)
+        for i, (rate, s) in enumerate(
+            zip(oracle.exponential_rates(p, 40), s_constants(p, 40) + (1,)), 1
+        )
+        if rate != s
     ]
     return _result("t_matches_prefix_sums", bad)
 
@@ -219,13 +222,11 @@ def check_quadrilateral_form_agrees() -> CheckResult:
 
 
 def check_triangle_product_inverts_fibonorial() -> CheckResult:
-    bad = []
-    for n in range(3, 21):
-        prod = 1
-        for i in range(1, n + 1):
-            prod *= fib(2, i)
-        if pn_pickup(2, n).fraction * prod != 1:
-            bad.append(f"n={n}")
+    bad = [
+        f"n={n}"
+        for n in range(3, 21)
+        if pn_pickup(2, n).fraction * prod(fib(2, i) for i in range(1, n + 1)) != 1
+    ]
     return _result("triangle_product_inverts_fibonorial", bad)
 
 
@@ -252,7 +253,9 @@ def check_exponential_matches_broken() -> CheckResult:
         f"p={p} n={n}"
         for p in range(2, 6)
         for n in range(p + 1, 21)
-        if pn_exponential(p, n).fraction != pn_broken(p, n).fraction
+        if not Fraction(factorial(n), prod(oracle.exponential_rates(p, n)))
+        == pn_exponential(p, n).fraction
+        == pn_broken(p, n).fraction
     ]
     return _result("exponential_matches_broken", bad)
 

@@ -1,14 +1,15 @@
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, factorial, gcd, prod
 
 import pytest
 
 from stickprob import oracle, verify
-from stickprob.closedform import ExactProb, pn_pickup, pn_pickup_truncated
-from stickprob.constraints import m_constants
+from stickprob.closedform import ExactProb, pn_broken, pn_pickup, pn_pickup_truncated
+from stickprob.constraints import m_constants, s_constants
 from stickprob.errors import DomainError, ResourceLimitError
 from stickprob.oracle import (
     MultiPoly,
+    exponential_rates,
     integration_chain,
     intermediates_vanish_at_max,
     r_vector,
@@ -193,6 +194,31 @@ class TestVanishingIntermediates:
         assert all(
             not any(expo[1:]) for expo in last.terms
         ), "final integrand must depend on the shortest stick only"
+
+
+class TestExponentialRates:
+    @pytest.mark.parametrize(("p", "n"), [(2, 253), (3, 1003), (6, 200)])
+    def test_tail_chain_at_bigint_sizes(self, p, n):
+        rates = exponential_rates(p, n)
+        assert rates == s_constants(p, n) + (1,)
+        assert Fraction(factorial(n), prod(rates)) == pn_broken(p, n).fraction
+
+    @pytest.mark.parametrize(("p", "n"), [(1, 5), (3, 3), (3, 2), (2, 5.0)])
+    def test_rejects_bad_arguments(self, p, n):
+        with pytest.raises(DomainError):
+            exponential_rates(p, n)
+
+    def test_exact_suite_catches_a_dropped_window_term(self, monkeypatch):
+        # the l_{i-p} coefficient of stick i's window sum, from stick p+1 on
+        min_length_form = oracle.min_length_form
+
+        def mutated(p, i):
+            form = min_length_form(p, i)
+            return form[: i - p - 1] + (0,) + form[i - p:] if i >= p + 1 else form
+
+        monkeypatch.setattr(oracle, "min_length_form", mutated)
+        failed = {r.name for r in verify.run_suite("exact") if not r.passed}
+        assert {"t_matches_prefix_sums", "exponential_matches_broken"} <= failed
 
 
 class TestRVector:

@@ -2,6 +2,7 @@ import random
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -259,23 +260,24 @@ def test_large_p_stores_no_zero_block(fresh_tables, call):
     assert peak < 2**20
 
 
-# Mutants of the shared table: each runs on fresh tables and must fail the
-# exact verify suite.  Both t_matches_prefix_sums and
-# exponential_matches_broken read one table through the shared loop on each
-# side, so only a fault outside that loop shows in them; the vector and
-# Jacobian routes read no table and catch the rest.
+def test_non_int_p_refused_on_warm_tables(fresh_tables):
+    # an equal float or Fraction would find the int key's table
+    fib(2, 5)
+    for call in (lambda: fib(2.0, 5), lambda: fib_prefix_sum(Fraction(2), 5),
+                 lambda: t_value(2.0, 3)):
+        with pytest.raises(DomainError):
+            call()
+
+
+# Mutants of the one table: each runs on fresh tables and must fail the
+# exact verify suite.  Every p reads one step-Fibonacci table, so the
+# exponential model's checks see a fault in it too: t_matches_prefix_sums
+# and exponential_matches_broken hold the tail-chain rates, which read no
+# table, against it.  The vector and Jacobian routes read no table either.
 
 
 def _failed_exact_checks():
     return {r.name: r.detail for r in verify.run_suite("exact") if not r.passed}
-
-
-def test_exact_suite_catches_t_step_of_two(fresh_tables, monkeypatch):
-    monkeypatch.setattr(sequences._TTable, "_c", 2)
-    assert _failed_exact_checks() == {
-        "t_matches_prefix_sums": "p=2 k=2; p=2 k=3; p=2 k=4; p=2 k=5; and 191 more",
-        "exponential_matches_broken": "p=2 n=3; p=2 n=4; p=2 n=5; p=2 n=6; and 62 more",
-    }
 
 
 def _extend_window_one_too_wide(self, i):
@@ -283,25 +285,25 @@ def _extend_window_one_too_wide(self, i):
         sums = self._sums
         while i >= len(sums):
             low = len(sums) - 2 - self.p
-            sums.append(2 * sums[-1] - (sums[low] if low > 0 else 0) + self._c)
+            sums.append(2 * sums[-1] - (sums[low] if low > 0 else 0))
     return sums
 
 
 def test_exact_suite_catches_window_one_too_wide(fresh_tables, monkeypatch):
-    """The shared loop summing p + 1 terms feeds both tables alike, so
-    t_matches_prefix_sums passes under it; the routes that read no table
-    do not."""
+    """The loop summing p + 1 terms fails the routes that read no table."""
     monkeypatch.setattr(StepFibTable, "_extend", _extend_window_one_too_wide)
     failed = _failed_exact_checks()
     assert {"e_vector_leads_with_step_fib", "s_matches_vector_route",
             "triple_derivation_of_m"} <= failed.keys()
-    assert "t_matches_prefix_sums" not in failed
+    assert failed["t_matches_prefix_sums"] == (
+        "p=2 i=1; p=2 i=2; p=2 i=3; p=2 i=4; and 171 more")
+    assert failed["exponential_matches_broken"] == (
+        "p=2 n=4; p=2 n=5; p=2 n=6; p=2 n=7; and 58 more")
 
 
 def test_exact_suite_catches_one_wrong_step_fib_term(fresh_tables, monkeypatch):
-    """F_9 one too large in the step-Fibonacci table, the t table untouched."""
+    """F_9 one too large in the step-Fibonacci table."""
     fib = StepFibTable.fib
     monkeypatch.setattr(StepFibTable, "fib", lambda self, i: fib(self, i) + (i == 9))
-    monkeypatch.setattr(sequences._TTable, "fib", fib)
     failed = _failed_exact_checks()
     assert {"e_vector_leads_with_step_fib", "triple_derivation_of_m"} <= failed.keys()
