@@ -23,9 +23,11 @@ Three derivations of the same denominators live here on purpose:
   (``e_vector``, ``max_length_form``): pick-up sticks read e_{n-i+1},
   broken sticks its running sum, and both read the numerator forms off
   the same vector;
-* the inverse-Jacobian row recurrence (``m_constants_via_jacobian``).
+* the inverse Jacobian of y_i = l_i - l_i_min read through its adjoint, one
+  walk counting window paths down from stick n (``m_constants_via_jacobian``).
 
-Their exact agreement is a core check of the verification suite.
+Their exact agreement is a core check of the verification suite.  Only
+the minimum forms and the walk read the windows (``_window``).
 ``max_min_identity_mismatches`` reads the closed-form denominators beside
 the vector-route numerator forms and the minimum forms, and proves the
 telescoping identity between consecutive intervals on those integer
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import DomainError, require_p, require_subset
+from .errors import DomainError, require_int, require_p, require_subset
 from .sequences import fib, fib_prefix_sum
 
 __all__ = [
@@ -62,17 +64,21 @@ def _check_model(model: str) -> None:
         raise DomainError(f"model must be one of {BOUND_MODELS}, got {model!r}")
 
 
+def _window(p: int, i: int) -> range:
+    """The sticks that bound stick i from below: none for stick 1, stick
+    i-1 alone (ordering) up to stick p, then the p sticks before it."""
+    return range(i - p if i > p else max(i - 1, 1), i)
+
+
 def min_length_form(p: int, i: int) -> Form:
     """Lower bound for stick i: zero, the previous stick, or the window sum."""
     require_p(p)
+    require_int("stick index i", i)
     if i < 1:
         raise DomainError(f"stick index must be >= 1, got {i}")
     coeffs = [0] * (i - 1)
-    if 1 < i < p + 1:
-        coeffs[i - 2] = 1  # ordering only: l_i >= l_{i-1}
-    elif i >= p + 1:
-        for j in range(1, p + 1):
-            coeffs[i - j - 1] = 1  # sum of the p previous sticks
+    for j in _window(p, i):
+        coeffs[j - 1] = 1
     return tuple(coeffs)
 
 
@@ -103,6 +109,7 @@ def e_vector(p: int, k: int) -> tuple[int, ...]:
     defined for k >= 2 - p.  Its leading entry is the k-th p-step
     Fibonacci number."""
     require_p(p)
+    require_int("chain index k", k)
     if k < 2 - p:
         raise DomainError(f"e-vectors are defined for k >= {2 - p}, got {k}")
     return _chain(p, p, k)[0]
@@ -127,6 +134,7 @@ def max_length_form(
     """
     _check_model(model)
     require_subset(p, n)
+    require_int("stick index i", i)
     if not 1 <= i <= n - 1:
         raise DomainError(f"max forms cover sticks 1..{n - 1}, got {i}")
     width = min(i, p)
@@ -167,23 +175,21 @@ def s_constants(p: int, n: int) -> tuple[int, ...]:
     return _tail_corrected(fib_prefix_sum, p, n, n - 1)
 
 
-def m_constants_via_jacobian(p: int, n: int) -> tuple[int, ...]:
-    """The m-vector by an independent route: rows of the inverse of the
-    change of variables y_i = l_i - l_i_min.
+def _window_walk(p: int, weights: list[int]) -> tuple[int, ...]:
+    """For i = n down to 2, add weight i to each stick in i's window: a unit
+    on stick n gives m, and a unit on every stick gives (s_1, ..., s_{n-1}, 1)."""
+    for i in range(len(weights), 1, -1):
+        for j in _window(p, i):
+            weights[j - 1] += weights[i - 1]
+    return tuple(weights)
 
-    Row i is all ones up to slot i for i <= p; afterwards each row is the
-    sum of the p rows above it plus a unit in slot i.  Row n reads off
-    (m_1, ..., m_n).
-    """
+
+def m_constants_via_jacobian(p: int, n: int) -> tuple[int, ...]:
+    """The m-vector by an independent route: row n of the inverse of the
+    change of variables y_i = l_i - l_i_min, which weighs y_k by the number
+    of window paths from stick n down to stick k."""
     require_subset(p, n)
-    rows: list[list[int]] = []
-    for i in range(1, p + 1):
-        rows.append([1] * i + [0] * (n - i))
-    for i in range(p + 1, n + 1):
-        row = [sum(col) for col in zip(*rows[i - p - 1 : i - 1])]
-        row[i - 1] += 1
-        rows.append(row)
-    return tuple(rows[n - 1])
+    return _window_walk(p, [0] * (n - 1) + [1])
 
 
 def max_min_identity_mismatches(

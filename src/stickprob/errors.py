@@ -20,7 +20,7 @@ class ResourceLimitError(SticksError):
     """A computation was refused because it would exceed its size guard."""
 
 
-def _require_int(name: str, value: object) -> None:
+def require_int(name: str, value: object) -> None:
     """Reject a value that is not a plain int: a float, Fraction or numpy
     integer would run the exact formulas on the wrong arithmetic, and a bool
     is no count."""
@@ -31,14 +31,14 @@ def _require_int(name: str, value: object) -> None:
 def require_p(p: int) -> None:
     """Reject p < 2: a polygon has at least p + 1 = 3 sides, and the p-step
     Fibonacci recurrence needs at least two terms."""
-    _require_int("polygon parameter p", p)
+    require_int("polygon parameter p", p)
     if p < 2:
         raise DomainError(f"polygon parameter p must be >= 2, got {p}")
 
 
 def require_n(n: int) -> None:
     """Reject n < 1: there is no stick to draw."""
-    _require_int("stick count n", n)
+    require_int("stick count n", n)
     if n < 1:
         raise DomainError(f"stick count n must be >= 1, got {n}")
 
@@ -46,7 +46,7 @@ def require_n(n: int) -> None:
 def require_subset(p: int, n: int) -> None:
     """Reject a bad p, or n < p + 1: no p + 1 of the n sticks to choose."""
     require_p(p)
-    _require_int("stick count n", n)
+    require_int("stick count n", n)
     if n < p + 1:
         raise DomainError(f"stick count n must be >= p + 1 = {p + 1}, got {n}")
 

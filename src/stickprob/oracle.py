@@ -14,8 +14,8 @@ closed-form denominators, which is what makes it an oracle for them.
 
 ``exponential_rates`` is the tail chain for exponential lengths: each
 stick integrates from its minimum form to infinity, and PN is n! over the
-product of the rates that accumulate.  It reads the minimum forms only,
-no sequence table and no closed-form constant.
+product of the rates that accumulate.  It reads the windows only
+(``constraints._window``), no sequence table and no closed-form constant.
 
 ``r_vector`` iterates the linear recurrence obeyed by the exponents in
 the stepwise integration of exponential tails; its entries must line up
@@ -29,9 +29,9 @@ from math import comb, factorial, gcd, lcm
 from typing import Iterator, Mapping
 
 from .closedform import ExactProb, RationalLike
-from .constraints import max_length_form, min_length_form
+from .constraints import _window_walk, max_length_form, min_length_form
 from .errors import DomainError, ResourceLimitError, require_p, require_subset
-from .errors import require_truncation
+from .errors import require_int, require_truncation
 
 __all__ = [
     "MultiPoly",
@@ -218,15 +218,11 @@ def exponential_rates(p: int, n: int) -> tuple[int, ...]:
 
     The sorted lengths have density n! exp(-(l_1 + ... + l_n)), so every
     rate starts at 1.  Integrating stick i (longest first) from min_i to
-    infinity leaves exp(-r_i * min_i) / r_i, which adds r_i times each
-    coefficient of min_i to the rate of that shorter stick.
+    infinity leaves exp(-r_i * min_i) / r_i, which adds r_i to the rate of
+    each stick in i's window.
     """
     require_subset(p, n)
-    rates = [1] * n
-    for i in range(n, 1, -1):
-        for j, c in enumerate(min_length_form(p, i)):
-            rates[j] += rates[i - 1] * c
-    return tuple(rates)
+    return _window_walk(p, [1] * n)
 
 
 def r_vector(p: int, l: int) -> tuple[int, ...]:
@@ -240,6 +236,7 @@ def r_vector(p: int, l: int) -> tuple[int, ...]:
     clarity.
     """
     require_p(p)
+    require_int("step l", l)
     if l < 1:
         raise DomainError(f"the recurrence is defined for l >= 1, got {l}")
     state = [1] * p

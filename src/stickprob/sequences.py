@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import threading
 
-from .errors import DomainError, require_p
+from .errors import DomainError, require_int, require_p
 
 __all__ = ["StepFibTable", "fib", "fib_prefix_sum", "t_value"]
 
@@ -50,18 +50,24 @@ class StepFibTable:
 
     def fib(self, i: int) -> int:
         """F_i^p, defined for i >= 2 - p."""
-        if i < self.low:
-            raise DomainError(
-                f"F_{i} with step count {self.p} is undefined: "
-                f"indices below {self.low} lie outside the initial block"
-            )
-        if i < 1:
-            return 0
-        sums = self._sums if i < len(self._sums) else self._extend(i)
+        if type(i) is not int:
+            require_int("index i", i)
+        sums = self._sums
+        if not 0 < i < len(sums):
+            if i < self.low:
+                raise DomainError(
+                    f"F_{i} with step count {self.p} is undefined: "
+                    f"indices below {self.low} lie outside the initial block"
+                )
+            if i < 1:
+                return 0
+            sums = self._extend(i)
         return sums[i] - sums[i - 1]
 
     def prefix_sum(self, i: int) -> int:
         """SF_i^p = F_1^p + ... + F_i^p, defined for i >= 1."""
+        if type(i) is not int:
+            require_int("index i", i)
         if i < 1:
             raise DomainError(f"prefix sums need i >= 1, got {i}")
         sums = self._sums if i < len(self._sums) else self._extend(i)

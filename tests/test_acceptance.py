@@ -61,7 +61,7 @@ def test_c03_broken_stick_reductions():
 
 def test_c04_exponential_equals_broken():
     _report(
-        "C4 exponential model equals broken stick (p<=5, n<=20)",
+        "C4 exponential model equals broken stick (p<=7, n<=20)",
         verify.check_exponential_matches_broken(),
     )
 

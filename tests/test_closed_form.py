@@ -305,16 +305,31 @@ def _broken_halved_past_12(p, n):
     return ExactProb.from_fraction(prob.fraction / 2) if n >= 13 else prob
 
 
+def _broken_halved_from_p_6(p, n):
+    prob = pn_broken(p, n)
+    return ExactProb.from_fraction(prob.fraction / 2) if p >= 6 and n > p + 1 else prob
+
+
+def _pickup_halved_p_4_to_6_past_n_7(p, n):
+    prob = pn_pickup(p, n)
+    return ExactProb.from_fraction(prob.fraction / 2) if 4 <= p <= 6 and n >= 8 else prob
+
+
 def _pr_wrong_from_4(p):
     return ExactProb.from_fraction(1 - Fraction(2, factorial(p))) if p >= 4 else pr_pickup(p)
 
 
 @pytest.mark.parametrize(("name", "mutant", "check", "detail"), [
     ("pn_broken", _broken_halved_past_12, "exponential_matches_broken",
-     "p=2 n=13; p=2 n=14; p=2 n=15; p=2 n=16; and 28 more"),
+     "p=2 n=13; p=2 n=14; p=2 n=15; p=2 n=16; and 44 more"),
+    ("pn_broken", _broken_halved_from_p_6, "exponential_matches_broken",
+     "p=6 n=8; p=6 n=9; p=6 n=10; p=6 n=11; and 21 more"),
+    ("pn_pickup", _pickup_halved_p_4_to_6_past_n_7,
+     "symbolic_integration_matches_closed_form", "p=4 n=8; p=5 n=8; p=6 n=8"),
     ("pr_pickup", _pr_wrong_from_4, "complement_at_minimal_n",
      "pr p=4; pr p=5; pr p=6; pr p=7; and 5 more"),
-], ids=["pn_broken_halved_past_n_12", "pr_pickup_wrong_from_p_4"])
+], ids=["pn_broken_halved_past_n_12", "pn_broken_halved_from_p_6",
+        "pn_pickup_halved_p_4_to_6_past_n_7", "pr_pickup_wrong_from_p_4"])
 def test_exact_suite_catches_evaluator_mutant(monkeypatch, name, mutant, check, detail):
     """An evaluator wrong only past the sizes most checks reach fails one
     named exact check.  verify binds the evaluators by name, so the mutant

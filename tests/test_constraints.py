@@ -1,11 +1,13 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from stickprob import constraints, verify
+from stickprob.closedform import _product, pn_pickup
 from stickprob.constraints import (
     BOUND_MODELS,
     e_vector,
@@ -16,8 +18,8 @@ from stickprob.constraints import (
     s_constants,
 )
 from stickprob.errors import DomainError
-from stickprob.oracle import symbolic_pn_pickup
-from stickprob.sequences import fib, fib_prefix_sum
+from stickprob.oracle import r_vector, symbolic_pn_pickup
+from stickprob.sequences import fib, fib_prefix_sum, t_value
 from stickprob.specs import MODELS, RANDOM_SUBSET_POLYGON, DistributionSpec, EventSpec
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -36,6 +38,26 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 def test_rejects_p_below_two(call, p):
     with pytest.raises(DomainError, match="p must be >= 2"):
         call(p)
+
+
+@pytest.mark.parametrize(
+    "index", [3.0, Fraction(3), True], ids=["float", "Fraction", "bool"]
+)
+@pytest.mark.parametrize("call", [
+    lambda i: fib(2, i),
+    lambda i: fib_prefix_sum(2, i),
+    lambda i: t_value(2, i),
+    lambda i: min_length_form(2, i),
+    lambda i: max_length_form(2, 5, i),
+    lambda i: e_vector(2, i),
+    lambda i: r_vector(2, i),
+], ids=["fib", "fib_prefix_sum", "t_value", "min_length_form", "max_length_form",
+        "e_vector", "r_vector"])
+def test_rejects_non_int_index(call, index):
+    """An index, like p and n, must be a plain int: a float, Fraction or
+    bool is a DomainError, not a bare TypeError or a silent answer."""
+    with pytest.raises(DomainError, match="must be an int"):
+        call(index)
 
 
 _SUBSET_CALLS = {
@@ -164,6 +186,12 @@ class TestConstants:
         assert m_constants_via_jacobian(3, 4) == (3, 2, 1, 1)
         assert m_constants_via_jacobian(2, 3) == (2, 1, 1)
         assert m_constants_via_jacobian(3, 5) == (5, 4, 2, 1, 1)
+
+    @pytest.mark.parametrize(("p", "n"), [(2, 253), (3, 1003), (6, 200)])
+    def test_jacobian_walk_at_bigint_sizes(self, p, n):
+        jac = m_constants_via_jacobian(p, n)
+        assert jac == m_constants(p, n)
+        assert Fraction(1, _product(jac)) == pn_pickup(p, n).fraction
 
     def test_s_values(self):
         assert s_constants(2, 3) == (4, 2)

@@ -1,10 +1,16 @@
 from fractions import Fraction
-from math import comb, factorial, gcd, prod
+from math import comb, factorial, gcd
 
 import pytest
 
-from stickprob import oracle, verify
-from stickprob.closedform import ExactProb, pn_broken, pn_pickup, pn_pickup_truncated
+from stickprob import constraints, oracle, verify
+from stickprob.closedform import (
+    ExactProb,
+    _product,
+    pn_broken,
+    pn_pickup,
+    pn_pickup_truncated,
+)
 from stickprob.constraints import m_constants, s_constants
 from stickprob.errors import DomainError, ResourceLimitError
 from stickprob.oracle import (
@@ -201,7 +207,7 @@ class TestExponentialRates:
     def test_tail_chain_at_bigint_sizes(self, p, n):
         rates = exponential_rates(p, n)
         assert rates == s_constants(p, n) + (1,)
-        assert Fraction(factorial(n), prod(rates)) == pn_broken(p, n).fraction
+        assert Fraction(factorial(n), _product(rates)) == pn_broken(p, n).fraction
 
     @pytest.mark.parametrize(("p", "n"), [(1, 5), (3, 3), (3, 2), (2, 5.0)])
     def test_rejects_bad_arguments(self, p, n):
@@ -209,16 +215,20 @@ class TestExponentialRates:
             exponential_rates(p, n)
 
     def test_exact_suite_catches_a_dropped_window_term(self, monkeypatch):
-        # the l_{i-p} coefficient of stick i's window sum, from stick p+1 on
-        min_length_form = oracle.min_length_form
+        # stick i's window loses its oldest stick, i-p, from stick p+1 on
+        window = constraints._window
 
         def mutated(p, i):
-            form = min_length_form(p, i)
-            return form[: i - p - 1] + (0,) + form[i - p:] if i >= p + 1 else form
+            return window(p, i)[1:] if i > p else window(p, i)
 
-        monkeypatch.setattr(oracle, "min_length_form", mutated)
-        failed = {r.name for r in verify.run_suite("exact") if not r.passed}
-        assert {"t_matches_prefix_sums", "exponential_matches_broken"} <= failed
+        monkeypatch.setattr(constraints, "_window", mutated)
+        results = {r.name: r.passed for r in verify.run_suite("exact")}
+        failed = {name for name, passed in results.items() if not passed}
+        assert {"t_matches_prefix_sums", "exponential_matches_broken",
+                "triple_derivation_of_m", "interval_telescoping_identity"} <= failed
+        # the vector route reads no window
+        assert results["s_matches_vector_route"]
+        assert results["e_vector_leads_with_step_fib"]
 
 
 class TestRVector:

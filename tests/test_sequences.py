@@ -298,7 +298,7 @@ def test_exact_suite_catches_window_one_too_wide(fresh_tables, monkeypatch):
     assert failed["t_matches_prefix_sums"] == (
         "p=2 i=1; p=2 i=2; p=2 i=3; p=2 i=4; and 171 more")
     assert failed["exponential_matches_broken"] == (
-        "p=2 n=4; p=2 n=5; p=2 n=6; p=2 n=7; and 58 more")
+        "p=2 n=4; p=2 n=5; p=2 n=6; p=2 n=7; and 83 more")
 
 
 def test_exact_suite_catches_one_wrong_step_fib_term(fresh_tables, monkeypatch):
