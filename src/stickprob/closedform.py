@@ -10,16 +10,16 @@ n-1 uniform positions).
 Everything returns an ``ExactProb``: a reduced big-integer fraction.  The
 denominator formulas live in ``constraints``; this module adds only the
 normalisers (1, n!, the truncation scale) and one balanced product tree
-over the n factors (``_product``).  Exponential PN reads the broken-stick
-product.  ``closed_form`` is the one place that says which evaluator
-serves which (event, model) pair.
+over the n factors (``_product``), built once per evaluation.  Exponential
+PN reads the broken-stick product.  ``closed_form`` is the one place that
+says which evaluator serves which (event, model) pair.
 
 Cross-route checks live in ``verify`` and the tests, which also run under
 ``python -O``.  The one ``assert`` left, in ``pn_pickup``, compares the
-m-constant product with the same tail-corrected formula over the
-step-Fibonacci numbers, so it checks nothing; it stays only because the
-benchmark's ``exact-raises`` mutation patches that line, as its
-``exact-value`` mutation patches the return line of ``pn_broken``.
+m-vector with the same tail-corrected formula over the step-Fibonacci
+numbers, so it checks nothing and multiplies nothing; it stays only
+because the benchmark's ``exact-raises`` mutation patches that line, as
+its ``exact-value`` mutation patches the return line of ``pn_broken``.
 """
 
 from __future__ import annotations
@@ -62,21 +62,33 @@ class ExactProb:
     denominator: int
 
     def __post_init__(self) -> None:
+        self._require_range()
+        if gcd(self.numerator, self.denominator) != 1:
+            raise DomainError(
+                f"{self.numerator}/{self.denominator} is not in lowest terms"
+            )
+
+    def _require_range(self) -> None:
         if self.denominator < 1:
             raise DomainError(f"denominator must be >= 1, got {self.denominator}")
         if not 0 <= self.numerator <= self.denominator:
             raise DomainError(
                 f"{self.numerator}/{self.denominator} is not a probability"
             )
-        if gcd(self.numerator, self.denominator) != 1:
-            raise DomainError(
-                f"{self.numerator}/{self.denominator} is not in lowest terms"
-            )
 
     @classmethod
     def from_fraction(cls, value: Union[Fraction, int]) -> "ExactProb":
-        value = Fraction(value)
-        return cls(value.numerator, value.denominator)
+        """The probability ``value``.  A plain ``Fraction`` is already in
+        lowest terms, so only its range is checked; anything else, a
+        subclass included, goes through the full check."""
+        if type(value) is not Fraction:
+            value = Fraction(value)
+            return cls(value.numerator, value.denominator)
+        prob = object.__new__(cls)
+        object.__setattr__(prob, "numerator", value.numerator)
+        object.__setattr__(prob, "denominator", value.denominator)
+        prob._require_range()
+        return prob
 
     @property
     def fraction(self) -> Fraction:
@@ -122,35 +134,45 @@ def is_vacuous(p: int, n: int) -> bool:
 
 
 def _product(values: Iterable[int]) -> int:
-    """The product by balanced pairwise halving, 1 if empty.  Neighbouring
-    factors have similar sizes, so each level multiplies operands of about
-    equal length; a running product costs the square of the result's size."""
-    level = list(values) or [1]
+    """The product by a balanced tree, 1 if empty; a running product costs
+    the square of the result's size.  The factors are sorted and the first
+    level pairs the smallest with the largest: the m and s constants grow
+    linearly in bits, so each such pair has about the same size, and every
+    level after it, halving neighbours, multiplies operands of equal length.
+    Pairing neighbours from the start would leave the top multiply at a
+    quarter of the bits against three quarters."""
+    level = sorted(values) or [1]
+    half = len(level) // 2
+    middle = level[half:len(level) - half]  # the median of an odd count
+    level = [a * b for a, b in zip(level[:half], level[::-1])] + middle
     while len(level) > 1:
         odd = level[-1:] if len(level) % 2 else []
         level = [a * b for a, b in zip(level[0::2], level[1::2])] + odd
     return level[0]
 
 
-def _pn_pickup_step_fib(p: int, n: int) -> Fraction:
+def _pn_pickup_step_fib(p: int, n: int) -> tuple[int, ...]:
     # the m-constant formula again, read off the step-Fibonacci numbers
-    return Fraction(1, _product(_tail_corrected(fib, p, n, n)))
+    return _tail_corrected(fib, p, n, n)
 
 
 def pn_pickup(p: int, n: int) -> ExactProb:
     """PN for n independent uniform [0, 1] lengths.
 
     Evaluated as the product of reciprocal bound denominators.  The
-    ``assert`` recomputes that same product and is no second route; it is
-    kept only as the benchmark's ``exact-raises`` mutation anchor.
+    ``assert`` compares the m-vector with the same formula over the same
+    numbers and is no second route; it is kept only as the benchmark's
+    ``exact-raises`` mutation anchor.  The product is taken before it, so
+    a zero denominator raises ``ZeroDivisionError`` under ``python -O`` too.
     """
     require_p(p)
     require_n(n)
     if is_vacuous(p, n):
         return ExactProb(1, 1)
-    result = Fraction(1, _product(m_constants(p, n)))
+    result = m_constants(p, n)
+    prob = ExactProb.from_fraction(Fraction(1, _product(result)))
     assert result == _pn_pickup_step_fib(p, n), "PN pickup routes disagree"
-    return ExactProb.from_fraction(result)
+    return prob
 
 
 def pn_pickup_truncated(p: int, n: int, a: RationalLike) -> ExactProb:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import factorial, gcd
 
@@ -19,7 +20,7 @@ from stickprob.closedform import (
     pn_pickup_truncated,
     pr_pickup,
 )
-from stickprob.constraints import m_constants
+from stickprob.constraints import m_constants, s_constants
 from stickprob.errors import DomainError, ResourceLimitError, UnsupportedFormulaError
 from stickprob.oracle import symbolic_pn_truncated
 from stickprob.sequences import StepFibTable, fib
@@ -42,6 +43,31 @@ class TestExactProb:
     def test_from_fraction_reduces(self):
         prob = ExactProb.from_fraction(Fraction(6, 8))
         assert (prob.numerator, prob.denominator) == (3, 4)
+
+    def _gcd_calls(self, monkeypatch, value):
+        calls = []
+        monkeypatch.setattr(closedform, "gcd", lambda a, b: calls.append(1) or gcd(a, b))
+        prob = ExactProb.from_fraction(value)
+        return prob, len(calls)
+
+    def test_from_fraction_trusts_a_plain_fraction(self, monkeypatch):
+        # a Fraction is reduced when made, so it is not reduced again
+        prob, calls = self._gcd_calls(monkeypatch, Fraction(3, 9))
+        assert prob == ExactProb(1, 3) and calls == 0
+        for value in (Fraction(4, 3), Fraction(-1, 3)):
+            with pytest.raises(DomainError, match="is not a probability"):
+                ExactProb.from_fraction(value)
+
+    def test_from_fraction_checks_ints_and_subclasses(self, monkeypatch):
+        class Unreduced(Fraction):
+            # reports 2/4 for one half, as a subclass may
+            numerator = property(lambda self: 2 * self._numerator)
+            denominator = property(lambda self: 2 * self._denominator)
+
+        prob, calls = self._gcd_calls(monkeypatch, 1)
+        assert prob == ExactProb(1, 1) and calls == 1
+        with pytest.raises(DomainError, match="^2/4 is not in lowest terms$"):
+            ExactProb.from_fraction(Unreduced(1, 2))
 
     def test_decimal_rendering(self):
         assert ExactProb(1, 6).decimal(3) == "0.167"
@@ -69,14 +95,25 @@ def _sequential_product(values):
     return den
 
 
+def _orders(values):
+    """The values in their own order, reversed and shuffled with a fixed seed."""
+    shuffled = list(values)
+    random.Random(27).shuffle(shuffled)
+    return [list(values), list(values)[::-1], shuffled]
+
+
 class TestProduct:
     @pytest.mark.parametrize("values", [
         [],
         [7],
-        [2, 3, 5],           # odd length: the last factor waits a level
+        [6, 7],
+        [2, 3, 5],           # odd length: the median waits a level
         [2, 3, 5, 7],
         [3, 1, 4, 1, 5, 9, 2],
+        [4, 0, 9, 2, 5],
         [fib(2, i) for i in range(1, 301)],
+        *_orders(m_constants(3, 300)),
+        *_orders(s_constants(2, 301)),
     ])
     def test_matches_sequential_product(self, values):
         assert _product(values) == _sequential_product(values)
@@ -118,6 +155,30 @@ class TestPnPickup:
                 evaluate(2, 0)
         with pytest.raises(DomainError):
             pn_pickup_truncated(1, 4, Fraction(1, 4))
+
+
+def test_each_evaluation_builds_one_product(monkeypatch):
+    calls = []
+    real = closedform._product
+    monkeypatch.setattr(closedform, "_product", lambda values: calls.append(1) or real(values))
+    # below the cap 1/m_1, so the truncated PN is not 0 and needs the product
+    a = Fraction(1, 2 * m_constants(3, 40)[0])
+    for evaluate in (lambda: pn_pickup(3, 40), lambda: pn_broken(3, 40),
+                     lambda: pn_pickup_truncated(3, 40, a)):
+        calls.clear()
+        assert evaluate().numerator > 0
+        assert len(calls) == 1
+
+
+@pytest.mark.skipif(not __debug__, reason="python -O strips the assert")
+def test_pickup_assert_trips_on_a_wrong_m_vector(monkeypatch):
+    def one_off(p, n):
+        m = m_constants(p, n)
+        return m[:1] + (m[1] + 1,) + m[2:]
+
+    monkeypatch.setattr(closedform, "_pn_pickup_step_fib", one_off)
+    with pytest.raises(AssertionError, match="PN pickup routes disagree"):
+        pn_pickup(3, 12)
 
 
 class TestQuadrilateralForm:
