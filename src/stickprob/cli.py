@@ -345,10 +345,11 @@ def constants_emax(p: int, n: int, i: int, model: str) -> None:
     """The upper-bound data for one stick: denominator and numerator form."""
     den, form = max_length_form(p, n, i, model)
     try:
+        payload = _form_payload(form)
         result = {
             "denominator": den,
-            "numerator_form": _form_payload(form),
-            "text": f"l{i}_max = (1 - ({_form_text(form)})) / {den}",
+            "numerator_form": payload,
+            "text": f"l{i}_max = (1 - ({payload['text']})) / {den}",
         }
     except ValueError as exc:
         raise _oversized(exc) from exc

@@ -64,6 +64,18 @@ _ROWS_PER_BLOCK = 1 << 13  # rows scored at a time within a chunk
 _BUFFER_WORDS = 1 << 20  # float64 words in a sub-block's two buffers together
 
 
+def _trial_words(event: EventSpec, dist: DistributionSpec, n: int) -> tuple[int, int]:
+    """A trial's words for its lengths, and the whole Philox blocks it reads.
+
+    The lengths' words come first: n uniforms, or a broken stick's n - 1
+    cut points.  One word per subset pick follows them, and the total is
+    rounded up to whole blocks, at least one.
+    """
+    lengths = n - 1 if dist.kind == "broken" else n
+    picks = event.p + 1 if event.kind == RANDOM_SUBSET_POLYGON else 0
+    return lengths, max(1, -(-(lengths + picks) // _WORDS_PER_BLOCK))
+
+
 def _lengths_into(dist: DistributionSpec, u: np.ndarray, x: np.ndarray) -> None:
     """Write the sorted lengths for each row of uniforms ``u`` into the
     ``(rows, n)`` array ``x``.  A broken stick sorts its cuts in ``u``."""
@@ -202,7 +214,7 @@ def _run_chunk(
         )
     ubuf = np.empty((rows, width))
     xbuf = np.empty((rows, n))
-    n_len = dist.uniforms_per_trial(n)
+    n_len = _trial_words(event, dist, n)[0]
     ok = np.empty(count, dtype=bool)
     for b0 in range(0, count, rows):
         b1 = min(b0 + rows, count)
@@ -247,8 +259,7 @@ def estimate(
     _check_run(trials, workers, seed)
     if event.kind == RANDOM_SUBSET_POLYGON:
         require_subset(event.p, n)
-    words_per_trial = dist.uniforms_per_trial(n) + event.uniforms_per_trial()
-    blocks_per_trial = max(1, -(-words_per_trial // _WORDS_PER_BLOCK))
+    blocks_per_trial = _trial_words(event, dist, n)[1]
     spans = [
         (t0, min(t0 + _TRIALS_PER_CHUNK, trials))
         for t0 in range(0, trials, _TRIALS_PER_CHUNK)

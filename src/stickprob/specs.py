@@ -89,10 +89,6 @@ class DistributionSpec:
     def broken_stick(cls) -> "DistributionSpec":
         return cls("broken")
 
-    def uniforms_per_trial(self, n: int) -> int:
-        # a broken stick with n pieces needs only its n-1 cut points
-        return n - 1 if self.kind == "broken" else n
-
 
 @dataclass(frozen=True)
 class EventSpec:
@@ -105,10 +101,6 @@ class EventSpec:
         if self.kind not in EVENTS.values():
             raise DomainError(f"unknown event kind {self.kind!r}")
         require_p(self.p)
-
-    def uniforms_per_trial(self) -> int:
-        # subset selection burns one word per pick
-        return self.p + 1 if self.kind == RANDOM_SUBSET_POLYGON else 0
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,10 @@ each (event, model, p, n) cell of one grid of closed forms against seeded
 Monte Carlo, cell k on seed + k.  The CLI ``verify`` command renders the
 results as JSON and exits nonzero if anything failed.
 
+``EXACT_CHECKS`` is every ``check_*`` function defined above it, in
+definition order, so each exact check is defined above it and each Monte
+Carlo check below it.
+
 The interval telescoping identity is proved on the bound forms, as equal
 coefficient vectors over a grid of (p, n) for both bound models, so it
 holds at every feasible prefix without sampling one.  Only the ``mc`` suite
@@ -250,13 +254,14 @@ def check_broken_reduction_power_of_two() -> CheckResult:
 
 
 def check_exponential_matches_broken() -> CheckResult:
+    # pn_exponential returns pn_broken, so this one comparison holds both
+    # to the tail-chain rates
     bad = [
         f"p={p} n={n}"
         for p in range(2, 8)
         for n in range(p + 1, 21)
-        if not Fraction(factorial(n), prod(oracle.exponential_rates(p, n)))
-        == pn_exponential(p, n).fraction
-        == pn_broken(p, n).fraction
+        if Fraction(factorial(n), prod(oracle.exponential_rates(p, n)))
+        != pn_exponential(p, n).fraction
     ]
     return _result("exponential_matches_broken", bad)
 
@@ -296,7 +301,6 @@ def check_probabilities_reduced_and_in_range() -> CheckResult:
         for n in range(1, 13):
             probs.append(pn_pickup(p, n))
             probs.append(pn_broken(p, n))
-            probs.append(pn_exponential(p, n))
             if p in (2, 3):
                 probs.append(pa_pickup(p, n))
         probs.append(pr_pickup(p))
@@ -373,31 +377,8 @@ def check_matrix_recurrence_matches_step_fib() -> CheckResult:
     return _result("matrix_recurrence_matches_step_fib", bad)
 
 
-EXACT_CHECKS = (
-    check_t_matches_prefix_sums,
-    check_doubling_inside_initial_window,
-    check_prefix_sum_telescopes,
-    check_weighted_tail_collapses_to_index,
-    check_triple_derivation_of_m,
-    check_s_matches_vector_route,
-    check_e_vector_leads_with_step_fib,
-    check_fibonacci_max_forms_for_triangles,
-    check_broken_prefix_sums_for_triangles,
-    check_denominators_nonincreasing,
-    check_interval_telescoping_identity,
-    check_quadrilateral_form_agrees,
-    check_triangle_product_inverts_fibonorial,
-    check_all_gone_reduction_factorial,
-    check_broken_reduction_power_of_two,
-    check_exponential_matches_broken,
-    check_complement_at_minimal_n,
-    check_truncated_nonincreasing_in_cutoff,
-    check_probabilities_reduced_and_in_range,
-    check_symbolic_integration_matches_closed_form,
-    check_symbolic_truncated_matches_closed_form,
-    check_partial_integrals_vanish_at_max,
-    check_matrix_recurrence_matches_step_fib,
-)
+# every check_* function defined so far, in definition order
+EXACT_CHECKS = tuple(f for name, f in globals().items() if name.startswith("check_"))
 
 
 # ---------------------------------------------------------------------------

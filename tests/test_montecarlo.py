@@ -81,10 +81,14 @@ class TestSpecs:
             EventSpec(NO_POLYGON, 1)
 
     def test_uniform_budget(self):
-        assert DistributionSpec.broken_stick().uniforms_per_trial(5) == 4
-        assert DistributionSpec.uniform01().uniforms_per_trial(5) == 5
-        assert EventSpec(RANDOM_SUBSET_POLYGON, 3).uniforms_per_trial() == 4
-        assert EventSpec(NO_POLYGON, 3).uniforms_per_trial() == 0
+        # (words for the lengths, Philox blocks of 4 words per trial)
+        budget = montecarlo._trial_words
+        pn, pr = EventSpec(NO_POLYGON, 3), EventSpec(RANDOM_SUBSET_POLYGON, 3)
+        assert budget(pn, DistributionSpec.broken_stick(), 5) == (4, 1)
+        assert budget(pn, DistributionSpec.uniform01(), 5) == (5, 2)
+        assert budget(pr, DistributionSpec.broken_stick(), 5) == (4, 2)
+        assert budget(pr, DistributionSpec.uniform01(), 5) == (5, 3)
+        assert budget(pn, DistributionSpec.broken_stick(), 1) == (0, 1)
 
 
 class TestSampling:
@@ -520,8 +524,7 @@ def test_chunk_splits_at_sub_block_seams(event, model, p, n):
     # a chunk over [0, 65536) scores the same trials as any two chunks that
     # split it, including splits on and next to the 8192-row sub-blocks
     event, dist = EventSpec(event, p), DistributionSpec(model, a=0.25, rate=3.0)
-    words = dist.uniforms_per_trial(n) + event.uniforms_per_trial()
-    blocks = max(1, -(-words // 4))
+    blocks = montecarlo._trial_words(event, dist, n)[1]
 
     def run(t0, t1):
         return montecarlo._run_chunk(event, dist, n, 5, blocks, (t0, t1))

@@ -13,8 +13,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from stickprob.montecarlo import _lengths_into
-from stickprob.specs import DistributionSpec
+from stickprob.montecarlo import _lengths_into, _trial_words
+from stickprob.specs import NO_POLYGON, DistributionSpec, EventSpec
 
 DRAWS = 4
 DISTS = {
@@ -28,7 +28,7 @@ DISTS = {
 
 def draw_lengths(dist: DistributionSpec, n: int, gen: np.random.Generator) -> np.ndarray:
     """One row of n sorted lengths from the next uniforms of ``gen``."""
-    u = gen.random((1, dist.uniforms_per_trial(n)))
+    u = gen.random((1, _trial_words(EventSpec(NO_POLYGON, 2), dist, n)[0]))
     x = np.empty((1, n))
     _lengths_into(dist, u, x)
     return x[0]
