@@ -32,7 +32,7 @@ from typing import Iterable, Union
 
 from .constraints import _tail_corrected, m_constants, s_constants
 from .errors import DomainError, ResourceLimitError, UnsupportedFormulaError
-from .errors import require_n, require_p, require_truncation
+from .errors import require_int, require_n, require_p, require_truncation
 from .sequences import fib
 
 __all__ = [
@@ -96,6 +96,8 @@ class ExactProb:
 
     def decimal(self, digits: int = 12) -> str:
         """Fixed-point decimal rendering, rounded half away from zero."""
+        if type(digits) is not int:
+            require_int("digits", digits)
         if digits < 0:
             raise DomainError(f"digits must be >= 0, got {digits}")
         if digits > MAX_DECIMAL_DIGITS:

@@ -101,6 +101,8 @@ def t_value(p: int, k: int) -> int:
     """t_k for the exponential-lengths formula: t_1 = 1, t_k = 0 for
     2 - p <= k <= 0, and t_k = 1 + sum of the previous p values.  Summing
     F's recurrence over i = 2..k gives SF the same one, so t_k = SF_k."""
+    if type(k) is not int:
+        require_int("index k", k)
     if k < 1:
         raise DomainError(f"t_k is generated for k >= 1 only, got {k}")
     return _table(p).prefix_sum(k)

@@ -9,7 +9,10 @@ results as JSON and exits nonzero if anything failed.
 
 ``EXACT_CHECKS`` is every ``check_*`` function defined above it, in
 definition order, so each exact check is defined above it and each Monte
-Carlo check below it.
+Carlo check below it.  The mutation table in ``tests/test_mutations.py``
+is the exact suite's contract: it lists the checks each patched fault must
+fail, and requires every exact check to fail by its own comparison under
+some fault, except the checks it lists as awaiting retirement.
 
 The interval telescoping identity is proved on the bound forms, as equal
 coefficient vectors over a grid of (p, n) for both bound models, so it

@@ -3,9 +3,8 @@ from math import comb, factorial, gcd
 
 import pytest
 
-from stickprob import constraints, oracle, verify
+from stickprob import oracle
 from stickprob.closedform import (
-    ExactProb,
     _product,
     pn_broken,
     pn_pickup,
@@ -128,16 +127,6 @@ class TestSymbolicTruncated:
                 assert value == pn_pickup_truncated(p, n, a).fraction, (p, n, a)
                 assert value != 0, (p, n, a)
 
-    def test_exact_suite_catches_a_form_wrong_past_n_6(self, monkeypatch):
-        def halved_past_6(p, n, a):
-            prob = pn_pickup_truncated(p, n, a)
-            return ExactProb.from_fraction(prob.fraction / 2) if n >= 7 else prob
-
-        monkeypatch.setattr(verify, "pn_pickup_truncated", halved_past_6)
-        failed = [r for r in verify.run_suite("exact") if not r.passed]
-        assert [r.name for r in failed] == ["symbolic_truncated_matches_closed_form"]
-        assert failed[0].detail == "p=2 n=8 a=1/42; p=3 n=8 a=1/62; p=4 n=7 a=1/26"
-
 
 class TestTermLimit:
     """After sticks n..i are integrated out, the integrand holds every
@@ -213,22 +202,6 @@ class TestExponentialRates:
     def test_rejects_bad_arguments(self, p, n):
         with pytest.raises(DomainError):
             exponential_rates(p, n)
-
-    def test_exact_suite_catches_a_dropped_window_term(self, monkeypatch):
-        # stick i's window loses its oldest stick, i-p, from stick p+1 on
-        window = constraints._window
-
-        def mutated(p, i):
-            return window(p, i)[1:] if i > p else window(p, i)
-
-        monkeypatch.setattr(constraints, "_window", mutated)
-        results = {r.name: r.passed for r in verify.run_suite("exact")}
-        failed = {name for name, passed in results.items() if not passed}
-        assert {"t_matches_prefix_sums", "exponential_matches_broken",
-                "triple_derivation_of_m", "interval_telescoping_identity"} <= failed
-        # the vector route reads no window
-        assert results["s_matches_vector_route"]
-        assert results["e_vector_leads_with_step_fib"]
 
 
 class TestRVector:

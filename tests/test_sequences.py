@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
-from stickprob import sequences, verify
+from stickprob import sequences
 from stickprob.cli import cli
 from stickprob.errors import DomainError
 from stickprob.sequences import StepFibTable, fib, fib_prefix_sum, t_value
@@ -267,43 +267,3 @@ def test_non_int_p_refused_on_warm_tables(fresh_tables):
                  lambda: t_value(2.0, 3)):
         with pytest.raises(DomainError):
             call()
-
-
-# Mutants of the one table: each runs on fresh tables and must fail the
-# exact verify suite.  Every p reads one step-Fibonacci table, so the
-# exponential model's checks see a fault in it too: t_matches_prefix_sums
-# and exponential_matches_broken hold the tail-chain rates, which read no
-# table, against it.  The vector and Jacobian routes read no table either.
-
-
-def _failed_exact_checks():
-    return {r.name: r.detail for r in verify.run_suite("exact") if not r.passed}
-
-
-def _extend_window_one_too_wide(self, i):
-    with self._lock:
-        sums = self._sums
-        while i >= len(sums):
-            low = len(sums) - 2 - self.p
-            sums.append(2 * sums[-1] - (sums[low] if low > 0 else 0))
-    return sums
-
-
-def test_exact_suite_catches_window_one_too_wide(fresh_tables, monkeypatch):
-    """The loop summing p + 1 terms fails the routes that read no table."""
-    monkeypatch.setattr(StepFibTable, "_extend", _extend_window_one_too_wide)
-    failed = _failed_exact_checks()
-    assert {"e_vector_leads_with_step_fib", "s_matches_vector_route",
-            "triple_derivation_of_m"} <= failed.keys()
-    assert failed["t_matches_prefix_sums"] == (
-        "p=2 i=1; p=2 i=2; p=2 i=3; p=2 i=4; and 171 more")
-    assert failed["exponential_matches_broken"] == (
-        "p=2 n=4; p=2 n=5; p=2 n=6; p=2 n=7; and 83 more")
-
-
-def test_exact_suite_catches_one_wrong_step_fib_term(fresh_tables, monkeypatch):
-    """F_9 one too large in the step-Fibonacci table."""
-    fib = StepFibTable.fib
-    monkeypatch.setattr(StepFibTable, "fib", lambda self, i: fib(self, i) + (i == 9))
-    failed = _failed_exact_checks()
-    assert {"e_vector_leads_with_step_fib", "triple_derivation_of_m"} <= failed.keys()
