@@ -12,14 +12,28 @@ come from those uniforms (exponentials through the inverse CDF), never from
 the generator's own samplers, so the word budget per trial stays constant.
 
 A chunk of up to 65 536 trials reads one Philox stream and is scored
-8192 rows at a time: each sub-block's uniforms and lengths are written into
-two buffers reused across the chunk, and its predicate results into one
-per-chunk array.  With w words and n lengths per trial, a chunk's samples
-so take about 8192 x (w + n) x 8 bytes, small enough to stay in cache
-between the steps, not the 65 536 x (w + n) x 8 bytes of one draw over the
-whole chunk.  Wide rows get fewer rows per sub-block, so the two buffers
-never hold more than 2^20 words (8 MiB); a single row wider than that is
-refused with ``ResourceLimitError``.
+8192 rows at a time, in buffers reused across the chunk, with its predicate
+results in one per-chunk array.  A sub-block's w words per trial are drawn
+into one buffer and its n lengths per trial written into another, so its
+samples take about 8192 x (w + n) x 8 bytes (plus the copy below for
+narrow rows): small enough to stay in cache between the steps, unlike one
+draw over the whole chunk.  Wide rows get fewer rows per sub-block, so a
+sub-block's buffers together never hold more than 2^20 words (8 MiB); a
+single row wider than that is refused with ``ResourceLimitError``.
+
+Rows of at most 8 lengths are narrow: numpy's per-row overhead, not the
+arithmetic, would dominate their row sorts and row sums.  Their sub-blocks
+are held column-major, every column one contiguous vector.  The words a
+trial reads (its lengths' words, then its subset picks) are copied out of
+the row-major draw into a column-major buffer of their own, and the lengths
+buffer is column-major too.  The generator fills a buffer in memory order,
+so it never draws into a column-major one: that would hand a trial another
+trial's words.  A narrow row is sorted by Batcher's odd-even merge
+network, one ``np.minimum``/``np.maximum`` pair over two whole columns per
+comparator (9 comparators at n = 5, 19 at n = 8), and its window sums add
+whole columns.  Wider rows keep row-major buffers and numpy's row sort:
+their windows can hold eight or more values, whose row sum depends on the
+layout (below), and past about n = 12 the network is the slower sort.
 
 Floating point is deliberate here: the Monte Carlo error at any feasible
 trial count dwarfs rounding error.  Exactness lives in the closed forms
@@ -29,9 +43,14 @@ The predicates do no more work than a row needs.  "No polygon" scores each
 window only on the rows still alive (surviving rows must grow like p-step
 Fibonacci numbers, so most die within a few windows), and the random
 subset is drawn by resolving the partial Fisher-Yates picks as column
-indices, without building shuffled index rows.  Each row's arithmetic is
-the same window sum and comparison as a plain per-row loop, so success
-counts are bit-identical to scoring every row on every window.
+indices, without building shuffled index rows.  Each window sum is numpy's
+own row sum over that window's p values, which reads that row alone, so
+success counts are bit-identical to scoring every row on every window.
+Over fewer than eight values that row sum is a left fold, as a plain
+per-row loop adds, in either memory layout.  Over eight or more values in
+a row-major row numpy sums pairwise, and the last bit can differ from a
+loop's.  A narrow row holds at most 8 lengths, so every window it sums has
+p <= 7, and its counts are the same in either layout.
 
 Tie rule, fixed for reproducibility: a degenerate flat polygon does not
 count as formed.  "Cannot form" tests use window sums <= the next length;
@@ -61,7 +80,47 @@ __all__ = ["no_polygon", "all_polygon", "estimate"]
 _WORDS_PER_BLOCK = 4  # Philox4x64 words per counter increment
 _TRIALS_PER_CHUNK = 1 << 16
 _ROWS_PER_BLOCK = 1 << 13  # rows scored at a time within a chunk
-_BUFFER_WORDS = 1 << 20  # float64 words in a sub-block's two buffers together
+_BUFFER_WORDS = 1 << 20  # float64 words in a sub-block's buffers together
+_NETWORK_WIDTH = 8  # the widest row held column-major and sorted by a network
+
+
+def _merge_network(n: int) -> list[tuple[int, int]]:
+    """Batcher's odd-even merge sort on n inputs, as compare-exchange pairs
+    (i, j), i < j, in the order they run."""
+    pairs = []
+    size = 1  # the merge step joins sorted runs of this length
+    while size < n:
+        k = size
+        while k:
+            for j in range(k % size, n - k, 2 * k):
+                for i in range(j, j + min(k, n - j - k)):
+                    if i // (2 * size) == (i + k) // (2 * size):
+                        pairs.append((i, i + k))
+            k //= 2
+        size *= 2
+    return pairs
+
+
+_NETWORKS = [_merge_network(n) for n in range(_NETWORK_WIDTH + 1)]
+
+
+def _sort_rows(x: np.ndarray) -> None:
+    """Sort each row of ``x`` in place.
+
+    A row at most ``_NETWORK_WIDTH`` wide, held column-major, goes through
+    the merge network: one ``np.minimum``/``np.maximum`` pair per comparator
+    over two whole columns.  Anything else goes through numpy's row sort,
+    which beats the network on strided columns and on wider rows.
+    """
+    if x.shape[1] > _NETWORK_WIDTH or x.strides[0] != x.itemsize:
+        x.sort(axis=1)
+        return
+    low = np.empty(x.shape[0])
+    for i, j in _NETWORKS[x.shape[1]]:
+        a, b = x[:, i], x[:, j]
+        np.minimum(a, b, out=low)
+        np.maximum(a, b, out=b)
+        np.copyto(a, low)
 
 
 def _trial_words(event: EventSpec, dist: DistributionSpec, n: int) -> tuple[int, int]:
@@ -72,8 +131,12 @@ def _trial_words(event: EventSpec, dist: DistributionSpec, n: int) -> tuple[int,
     rounded up to whole blocks, at least one.
     """
     lengths = n - 1 if dist.kind == "broken" else n
-    picks = event.p + 1 if event.kind == RANDOM_SUBSET_POLYGON else 0
-    return lengths, max(1, -(-(lengths + picks) // _WORDS_PER_BLOCK))
+    return lengths, max(1, -(-(lengths + _picks(event)) // _WORDS_PER_BLOCK))
+
+
+def _picks(event: EventSpec) -> int:
+    """The words a trial reads for its subset picks, after its lengths."""
+    return event.p + 1 if event.kind == RANDOM_SUBSET_POLYGON else 0
 
 
 def _lengths_into(dist: DistributionSpec, u: np.ndarray, x: np.ndarray) -> None:
@@ -91,13 +154,13 @@ def _lengths_into(dist: DistributionSpec, u: np.ndarray, x: np.ndarray) -> None:
         np.divide(x, dist.rate, out=x)
     elif u.shape[1]:
         # the spacings between 0, the sorted cuts and 1
-        u.sort(axis=1)
+        _sort_rows(u)
         x[:, 0] = u[:, 0]
         np.subtract(u[:, 1:], u[:, :-1], out=x[:, 1:-1])
         np.subtract(1.0, u[:, -1], out=x[:, -1])
     else:
         x.fill(1.0)  # a broken stick with no cuts is one whole piece
-    x.sort(axis=1)
+    _sort_rows(x)
 
 
 def _as_sorted_array(lengths) -> np.ndarray:
@@ -186,7 +249,10 @@ def _subset_rows(lengths: np.ndarray, p: int, u: np.ndarray) -> np.ndarray:
         for k in range(i, 0, -1):
             lo, hi = picks[k - 1], picks[k]
             picks[k - 1], picks[k] = np.minimum(lo, hi), np.maximum(lo, hi)
-    subset = np.take_along_axis(lengths, np.stack(picks, axis=1), axis=1)
+    # the picked values land in the lengths' own memory layout, so their
+    # row sum is the same reduction as over a window of the lengths
+    index = np.empty_like(lengths[:, : p + 1], dtype=np.int64)
+    subset = np.take_along_axis(lengths, np.stack(picks, axis=1, out=index), axis=1)
     return subset[:, :p].sum(axis=1) > subset[:, -1]
 
 
@@ -205,21 +271,32 @@ def _run_chunk(
     count = t1 - t0
     bits = np.random.Philox(key=seed, counter=t0 * blocks_per_trial)
     gen = np.random.Generator(bits)
+    # Narrow rows are held column-major.  The generator fills a buffer in
+    # memory order, so it draws only into the row-major ubuf, and the words
+    # a trial reads are copied from there into the column-major colbuf.
     width = blocks_per_trial * _WORDS_PER_BLOCK
-    rows = min(count, _ROWS_PER_BLOCK, _BUFFER_WORDS // (width + n))
+    n_len = _trial_words(event, dist, n)[0]
+    n_read = n_len + _picks(event)
+    narrow = n <= _NETWORK_WIDTH
+    words = width + n + (n_read if narrow else 0)
+    rows = min(count, _ROWS_PER_BLOCK, _BUFFER_WORDS // words)
     if not rows:
         raise ResourceLimitError(
-            f"one trial at n = {n} needs {width + n} buffer words, past the "
+            f"one trial at n = {n} needs {words} buffer words, past the "
             f"sub-block budget of {_BUFFER_WORDS}"
         )
     ubuf = np.empty((rows, width))
-    xbuf = np.empty((rows, n))
-    n_len = _trial_words(event, dist, n)[0]
+    xbuf = np.empty((rows, n), order="F" if narrow else "C")
+    if narrow:
+        colbuf = np.empty((rows, n_read), order="F")
     ok = np.empty(count, dtype=bool)
     for b0 in range(0, count, rows):
         b1 = min(b0 + rows, count)
         u, lengths = ubuf[: b1 - b0], xbuf[: b1 - b0]
         gen.random(out=u)
+        if narrow:
+            np.copyto(colbuf[: b1 - b0], u[:, :n_read])
+            u = colbuf[: b1 - b0]
         _lengths_into(dist, u[:, :n_len], lengths)
         if event.kind == NO_POLYGON:
             ok[b0:b1] = _no_polygon_rows(lengths, event.p)

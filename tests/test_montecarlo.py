@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -325,9 +326,40 @@ class TestEstimate:
         assert est.p_hat == 1.0
 
 
+class _NoRowSort(np.ndarray):
+    """Rows whose numpy row sort fails, so a sort that passes ran the network."""
+
+    def sort(self, *args, **kwargs):
+        raise AssertionError("numpy's row sort ran")
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "F-slice"])
+@pytest.mark.parametrize("width", range(1, 9))
+def test_sort_rows_sorts_every_zero_one_row(width, layout):
+    # the 0-1 principle: a compare-exchange network that sorts every row of
+    # 0s and 1s sorts every row of reals.  Column-major rows, whole or a
+    # row slice of a larger buffer as a chunk's last sub-block is, go
+    # through the network; row-major rows through numpy's row sort.
+    rows = np.array(list(itertools.product([0.0, 1.0], repeat=width)))
+    want = np.sort(rows, axis=1)
+    if layout == "C":
+        got = rows.copy()
+    else:
+        buf = np.empty((len(rows) + (layout == "F-slice"), width), order="F")
+        got = buf[: len(rows)].view(_NoRowSort)
+        got[...] = rows
+    montecarlo._sort_rows(got)
+    assert np.array_equal(got, want)
+
+
+def test_merge_networks_have_batchers_sizes():
+    assert [len(pairs) for pairs in montecarlo._NETWORKS] == [0, 0, 1, 3, 5, 9, 12, 16, 19]
+
+
 # Plain per-row loops: the definitions the vectorized kernels must match bit
 # for bit.  Python's sum() adds left to right, as numpy does over fewer than
-# eight values, so the references hold for the p used here.
+# eight values in either memory layout, so the references hold for the p
+# used here.
 
 
 def reference_no_polygon(rows, p):
@@ -375,45 +407,46 @@ def step_rows(draw, p, n):
     return np.array(rows, dtype=np.float64).reshape(len(rows), n)
 
 
-@given(st.data(), st.integers(2, 6), st.integers(0, 12))
-def test_no_polygon_kernel_matches_reference(data, p, extra):
+@given(st.data(), st.integers(2, 6), st.integers(0, 12), st.sampled_from("CF"))
+def test_no_polygon_kernel_matches_reference(data, p, extra, order):
     n = data.draw(st.integers(1, p)) if extra == 0 else p + extra
-    rows = data.draw(step_rows(p, n))
+    rows = np.asarray(data.draw(step_rows(p, n)), order=order)
     assert _no_polygon_rows(rows, p).tolist() == reference_no_polygon(rows, p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 6])
 def test_no_polygon_kernel_when_all_die_or_none_die(p):
-    n = p + 10
-    dying = np.ones((3000, n))  # p ones sum past the next one at window 0
-    assert not _no_polygon_rows(dying, p).any()
-    fib = [1.0] * p
-    while len(fib) < n:
-        fib.append(sum(fib[-p:]))  # every window is a tie
-    surviving = np.outer(np.arange(1.0, 3001.0), fib)
-    assert _no_polygon_rows(surviving, p).all()
-    # row r dies at window r % (n - p + 1), or never when that is n - p
-    staggered = surviving.copy()
-    for r, w in enumerate(np.arange(3000) % (n - p + 1)):
-        if w < n - p:
-            staggered[r, w + p] = staggered[r, w + p - 1]
-    got = _no_polygon_rows(staggered, p)
-    assert got.tolist() == reference_no_polygon(staggered, p)
-    assert np.count_nonzero(got) == len(range(n - p, 3000, n - p + 1))
+    for order in "CF":
+        n = p + 10
+        dying = np.ones((3000, n), order=order)  # p ones sum past the next one at window 0
+        assert not _no_polygon_rows(dying, p).any()
+        fib = [1.0] * p
+        while len(fib) < n:
+            fib.append(sum(fib[-p:]))  # every window is a tie
+        surviving = np.asarray(np.outer(np.arange(1.0, 3001.0), fib), order=order)
+        assert _no_polygon_rows(surviving, p).all()
+        # row r dies at window r % (n - p + 1), or never when that is n - p
+        staggered = surviving.copy(order="K")
+        for r, w in enumerate(np.arange(3000) % (n - p + 1)):
+            if w < n - p:
+                staggered[r, w + p] = staggered[r, w + p - 1]
+        got = _no_polygon_rows(staggered, p)
+        assert got.tolist() == reference_no_polygon(staggered, p)
+        assert np.count_nonzero(got) == len(range(n - p, 3000, n - p + 1))
 
 
-@given(st.data(), st.integers(2, 6), st.integers(1, 9))
-def test_subset_kernel_matches_reference(data, p, n_extra):
+@given(st.data(), st.integers(2, 6), st.integers(1, 9), st.sampled_from("CF"))
+def test_subset_kernel_matches_reference(data, p, n_extra, order):
     n = p + n_extra
     m = data.draw(st.integers(1, 12))
     cells = st.lists(_VALUES, min_size=m * n, max_size=m * n)
-    rows = np.sort(np.array(data.draw(cells)).reshape(m, n), axis=1)
+    rows = np.asarray(np.sort(np.array(data.draw(cells)).reshape(m, n), axis=1), order=order)
     draws = st.one_of(
         st.sampled_from([0.0, 0.5, 1.0 - 2.0**-53]), st.floats(0.0, 1.0, exclude_max=True)
     )
-    u = np.array(
+    u = np.asarray(np.array(
         data.draw(st.lists(draws, min_size=m * (p + 1), max_size=m * (p + 1)))
-    ).reshape(m, p + 1)
+    ).reshape(m, p + 1), order=order)
     assert _subset_rows(rows, p, u).tolist() == reference_subset(rows, p, u)
 
 
