@@ -95,11 +95,10 @@ def _exact_request(problem: str, model: str, n: int | str | None, a: str | None)
 def _inputs(**resolved) -> dict:
     """The request echo: each parameter click parsed, in declaration order
     (``ctx.params`` follows argv order).  ``resolved`` holds the values echoed
-    in another form than parsed; a Fraction echoes as its num/den text."""
+    in another form than parsed; ``_emit`` prints a Fraction as num/den."""
     ctx = click.get_current_context()
-    values = {param.name: resolved.get(param.name, ctx.params[param.name])
-              for param in ctx.command.params}
-    return {name: str(v) if isinstance(v, Fraction) else v for name, v in values.items()}
+    return {param.name: resolved.get(param.name, ctx.params[param.name])
+            for param in ctx.command.params}
 
 
 def _exact_payload(prob: ExactProb, digits: int) -> dict:
@@ -131,8 +130,9 @@ def _oversized(exc: ValueError) -> ResourceLimitError:
 
 
 def _emit(command: str, inputs: dict, **body) -> None:
-    payload = {"schema_version": SCHEMA_VERSION, "command": command, "inputs": inputs, **body}
     try:
+        inputs = {name: str(v) if isinstance(v, Fraction) else v for name, v in inputs.items()}
+        payload = {"schema_version": SCHEMA_VERSION, "command": command, "inputs": inputs, **body}
         text = json.dumps(payload, indent=2)
     except ValueError as exc:
         raise _oversized(exc) from exc

@@ -1,7 +1,12 @@
 """Exception types shared across the package, and the domain rules that
 more than one module enforces."""
 
+import re
 from fractions import Fraction
+
+# the longest truncation point text, and its largest decimal exponent:
+# Fraction("1e-999999") alone is slow, and its denominator unprintable
+_LITERAL_LIMIT = 4000
 
 
 class SticksError(Exception):
@@ -52,7 +57,16 @@ def require_subset(p: int, n: int) -> None:
 
 
 def require_truncation(a: "Fraction | int | str") -> Fraction:
-    """The truncation point a as a Fraction; DomainError unless a rational in [0, 1)."""
+    """The truncation point a as a Fraction; DomainError unless a rational in
+    [0, 1), and ResourceLimitError for text past ``_LITERAL_LIMIT``."""
+    if isinstance(a, str):
+        exponent = re.search(r"[eE][-+]?([\d_]*)", a)
+        # five digits past the leading zeros already exceed the limit
+        digits = exponent[1].replace("_", "").lstrip("0")[:5] if exponent else ""
+        if len(a) > _LITERAL_LIMIT or int(digits or 0) > _LITERAL_LIMIT:
+            raise ResourceLimitError(
+                f"truncation point a must be text of at most {_LITERAL_LIMIT} characters, "
+                f"with a decimal exponent of at most {_LITERAL_LIMIT}")
     try:
         a = Fraction(a)
     except (TypeError, ValueError, ArithmeticError) as exc:  # None, "abc", nan, inf

@@ -1,8 +1,7 @@
 """Seeded Monte Carlo estimates of the polygon-formation probabilities.
 
-``estimate`` is the one sampling path; ``no_polygon`` and ``all_polygon``
-score one given sorted row with the same row kernels.  The distribution and
-event specs it takes live in ``stickprob.specs``.
+``estimate`` is the one public entry point.  The distribution and event
+specs it takes live in ``stickprob.specs``.
 
 Randomness is counter-based: trial t always consumes the same fixed-size
 slice of a Philox stream for a given seed, so an estimate is bit identical
@@ -65,7 +64,7 @@ import os
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError, require_n, require_p, require_subset
+from .errors import DomainError, ResourceLimitError, require_int, require_n, require_subset
 from .specs import (
     ALL_POLYGON,
     NO_POLYGON,
@@ -75,7 +74,7 @@ from .specs import (
     MCEstimate,
 )
 
-__all__ = ["no_polygon", "all_polygon", "estimate"]
+__all__ = ["estimate"]
 
 _WORDS_PER_BLOCK = 4  # Philox4x64 words per counter increment
 _TRIALS_PER_CHUNK = 1 << 16
@@ -163,15 +162,6 @@ def _lengths_into(dist: DistributionSpec, u: np.ndarray, x: np.ndarray) -> None:
     _sort_rows(x)
 
 
-def _as_sorted_array(lengths) -> np.ndarray:
-    arr = np.asarray(lengths, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DomainError("lengths must be a one-dimensional sequence")
-    if arr.size and np.any(arr[1:] < arr[:-1]):
-        raise DomainError("lengths must be sorted nondecreasing")
-    return arr
-
-
 def _no_polygon_rows(lengths: np.ndarray, p: int) -> np.ndarray:
     # Most rows fail within a few windows, so each window is scored only on
     # the rows still alive.  Once at most half of the held rows are alive
@@ -197,33 +187,12 @@ def _no_polygon_rows(lengths: np.ndarray, p: int) -> np.ndarray:
 
 
 def _all_polygon_rows(lengths: np.ndarray, p: int) -> np.ndarray:
+    # Any subset's p shortest dominate the p globally shortest termwise, so
+    # the one subset that can fail is the p shortest plus the longest.
     n = lengths.shape[1]
     if n <= p:
         return np.ones(lengths.shape[0], dtype=bool)
     return lengths[:, :p].sum(axis=1) > lengths[:, -1]
-
-
-def no_polygon(sorted_lengths, p: int) -> bool:
-    """True iff no p+1 of the lengths can form a (p+1)-gon, i.e. every
-    window of p consecutive lengths sums to at most the next length.
-    Vacuously true for fewer than p+1 lengths."""
-    require_p(p)
-    arr = _as_sorted_array(sorted_lengths)
-    return bool(_no_polygon_rows(arr.reshape(1, -1), p)[0])
-
-
-def all_polygon(sorted_lengths, p: int) -> bool:
-    """True iff every choice of p+1 lengths forms a (p+1)-gon.
-
-    Equivalent to the single check that the p globally shortest lengths
-    sum to strictly more than the longest: any subset's p shortest
-    dominate the p globally shortest termwise, and the failing subset, if
-    one exists, is the p shortest plus the longest.  Vacuously true for
-    fewer than p+1 lengths.
-    """
-    require_p(p)
-    arr = _as_sorted_array(sorted_lengths)
-    return bool(_all_polygon_rows(arr.reshape(1, -1), p)[0])
 
 
 def _subset_rows(lengths: np.ndarray, p: int, u: np.ndarray) -> np.ndarray:
@@ -308,6 +277,9 @@ def _run_chunk(
 
 
 def _check_run(trials: int, workers: int, seed: int) -> None:
+    require_int("trials", trials)
+    require_int("workers", workers)
+    require_int("seed", seed)
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     if workers < 1:

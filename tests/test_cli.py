@@ -149,6 +149,22 @@ def test_oversized_output_is_a_usage_error(runner, args):
     assert "integer string conversion" in res.stderr
 
 
+@pytest.mark.parametrize(("a", "limit"), [("1e-9999", 4300), ("1e-1500", 1000)])
+def test_tiny_truncation_point_is_a_usage_error(runner, a, limit):
+    # 1e-9999 is past the literal limit; 1e-1500 parses, but its echo has a
+    # denominator past a lowered int->str digit limit
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        res = runner.invoke(cli, ["compute", "pn", "--model", "truncated", "--p", "2",
+                                  "--n", "3", "--a", a], catch_exceptions=False)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr
+
+
 class TestSimulate:
     def test_embeds_exact_and_z(self, runner):
         res = invoke(

@@ -97,7 +97,7 @@ GOLDEN = {
     "constants emax --p 3 --n 6 --i 2 --model broken":
         (0, "1169cd3a863dffd90e73be5b61c2b575d7c1716efec6fd11fa28d93d1e81e9a8"),
     "verify --suite mc --trials 20000":
-        (0, "1a351b758056460a7b474538a6c269fb2ee488ab5fd5d999e3f55bab3e86dd67"),
+        (0, "76fdee01e538cfb53ebb151ace7e9eadb5c135aa9844b3c0e04486e2f3007591"),
     "verify --suite exact":
         (0, "15be9383f761d49da007d2d4e173e5833c0bf4b2a0c1e69c3a25a4535d659079"),
     "compute pn --p 2":

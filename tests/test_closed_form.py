@@ -225,6 +225,19 @@ class TestPnTruncated:
         with pytest.raises(DomainError, match=r"^truncation point a must be rational, got "):
             evaluate(2, 3, a)
 
+    @pytest.mark.parametrize(
+        "a", ["1e-4001", "1E-4_001", "1e-00099999", "0." + "0" * 3999 + "1"],
+        ids=["exponent", "underscored", "long-exponent", "long"],
+    )
+    def test_refuses_text_past_the_literal_limit(self, a):
+        # refused before Fraction parses it: Fraction("1e-999999") alone is slow
+        with pytest.raises(ResourceLimitError, match="^truncation point a must be text of at most"):
+            pn_pickup_truncated(2, 3, a)
+
+    def test_text_at_the_literal_limit_parses(self):
+        exact = pn_pickup_truncated(2, 3, Fraction(1, 10**4000))
+        assert pn_pickup_truncated(2, 3, "1e-4000") == exact
+
     def test_nonincreasing_to_zero(self):
         for p, n in ((2, 3), (2, 5), (3, 4)):
             cap = Fraction(1, m_constants(p, n)[0])

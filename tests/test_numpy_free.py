@@ -178,7 +178,7 @@ def test_monte_carlo_commands_load_numpy():
 def test_root_serves_the_monte_carlo_names():
     from stickprob import montecarlo
 
-    assert montecarlo.__all__ == ["no_polygon", "all_polygon", "estimate"]
+    assert montecarlo.__all__ == ["estimate"]
     assert stickprob.estimate is montecarlo.estimate
     for name in ("DistributionSpec", "EventSpec", "MCEstimate"):
         assert getattr(stickprob, name) is getattr(specs, name)
