@@ -62,6 +62,8 @@ class ExactProb:
     denominator: int
 
     def __post_init__(self) -> None:
+        require_int("numerator", self.numerator)
+        require_int("denominator", self.denominator)
         self._require_range()
         if gcd(self.numerator, self.denominator) != 1:
             raise DomainError(
@@ -82,7 +84,10 @@ class ExactProb:
         lowest terms, so only its range is checked; anything else, a
         subclass included, goes through the full check."""
         if type(value) is not Fraction:
-            value = Fraction(value)
+            try:
+                value = Fraction(value)
+            except (TypeError, ValueError, ArithmeticError) as exc:  # None, "x", nan, inf
+                raise DomainError(f"a probability must be rational, got {value!r}") from exc
             return cls(value.numerator, value.denominator)
         prob = object.__new__(cls)
         object.__setattr__(prob, "numerator", value.numerator)
@@ -132,6 +137,8 @@ def is_vacuous(p: int, n: int) -> bool:
     The convention that both probabilities are 1 in this regime is a
     deliberate choice; callers that surface results should annotate it.
     """
+    require_int("polygon parameter p", p)
+    require_int("stick count n", n)
     return n <= p
 
 
@@ -267,6 +274,8 @@ def closed_form(event: str, model: str):
     evaluator itself raises it where the formula stops (pa for p >= 4 and
     n > p).
     """
+    if type(event) is not str or type(model) is not str:
+        raise DomainError(f"event and model must be names, got {event!r} and {model!r}")
     try:
         return _CLOSED_FORMS[event, model]
     except KeyError:

@@ -208,10 +208,12 @@ def _subset_rows(lengths: np.ndarray, p: int, u: np.ndarray) -> np.ndarray:
         pick, at_s = drawn, s
         for t in range(s):
             pick = np.where(pos[t] == drawn, held[t], pick)
-            at_s = np.where(pos[t] == s, held[t], at_s)
-        pos.append(drawn)
-        held.append(at_s)
+            if s < p:
+                at_s = np.where(pos[t] == s, held[t], at_s)
         picks.append(pick)
+        if s < p:  # only a later step reads a step's swap
+            pos.append(drawn)
+            held.append(at_s)
     # rows are sorted, so an insertion network on the picked indices puts
     # the picked values in nondecreasing order as well
     for i in range(1, p + 1):
@@ -304,6 +306,9 @@ def estimate(
     boundaries.  Worker parallelism is a plain reduction over integer
     success counts, on at most one thread per chunk and per usable CPU.
     """
+    if not isinstance(event, EventSpec) or not isinstance(dist, DistributionSpec):
+        raise DomainError(
+            f"estimate takes an EventSpec and a DistributionSpec, got {event!r} and {dist!r}")
     require_n(n)
     _check_run(trials, workers, seed)
     if event.kind == RANDOM_SUBSET_POLYGON:

@@ -49,7 +49,8 @@ class DistributionSpec:
     [1e-280, 1e280]: the positive lengths -log1p(-u) / rate then lie in
     [2**-53, 53 ln 2] / rate, so every length, and every sum of fewer than
     2**63 of them, is a normal float.  Both take any real number, a
-    ``Fraction`` included, and are stored as floats.
+    ``Fraction`` included, and are stored as floats.  Every other model
+    refuses them off their defaults, 0 and 1, which it would ignore.
     """
 
     kind: str
@@ -68,6 +69,10 @@ class DistributionSpec:
             except OverflowError:  # an infinity, for the range checks below
                 value = math.inf if value > 0 else -math.inf
             object.__setattr__(self, name, value)
+        if self.kind != "truncated" and self.a != 0.0:
+            raise DomainError(f"only the truncated model takes a, got a={self.a}")
+        if self.kind != "exponential" and self.rate != 1.0:
+            raise DomainError(f"only the exponential model takes a rate, got rate={self.rate}")
         if self.kind == "truncated" and not 0.0 <= self.a < 1.0:
             raise DomainError(f"truncation point must lie in [0, 1), got {self.a}")
         if self.kind == "exponential" and not 1e-280 <= self.rate <= 1e280:

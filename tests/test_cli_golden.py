@@ -97,7 +97,7 @@ GOLDEN = {
     "constants emax --p 3 --n 6 --i 2 --model broken":
         (0, "1169cd3a863dffd90e73be5b61c2b575d7c1716efec6fd11fa28d93d1e81e9a8"),
     "verify --suite mc --trials 20000":
-        (0, "76fdee01e538cfb53ebb151ace7e9eadb5c135aa9844b3c0e04486e2f3007591"),
+        (0, "bea56d14c5b4c7a5a32d956d5dab57df26abc80b3c414664981cf88541587a22"),
     "verify --suite exact":
         (0, "15be9383f761d49da007d2d4e173e5833c0bf4b2a0c1e69c3a25a4535d659079"),
     "compute pn --p 2":

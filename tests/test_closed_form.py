@@ -358,6 +358,26 @@ def test_p_and_n_must_be_ints(name, arg, bad):
         _evaluate(name, p, n)
 
 
+_BAD_CALLS = {
+    "ExactProb-float-denominator": lambda: ExactProb(1, 2.5),
+    "ExactProb-str-fields": lambda: ExactProb("1", "2"),
+    "ExactProb-bool-numerator": lambda: ExactProb(True, 2),
+    "from_fraction-str": lambda: ExactProb.from_fraction("x"),
+    "from_fraction-nan": lambda: ExactProb.from_fraction(float("nan")),
+    "closed_form-list": lambda: closed_form([], 1),
+    "is_vacuous-str": lambda: is_vacuous("a", 2),
+    "is_vacuous-float": lambda: is_vacuous(2.0, 2),
+}
+
+
+@pytest.mark.parametrize("call", _BAD_CALLS.values(), ids=_BAD_CALLS.keys())
+def test_bad_arguments_raise_a_domain_error(call):
+    """No library call lets a TypeError or ValueError of its own escape, or
+    takes a bool or float where it reads an int."""
+    with pytest.raises(DomainError):
+        call()
+
+
 def test_all_outputs_reduced_and_in_unit_interval():
     probs = []
     for p in range(2, 6):

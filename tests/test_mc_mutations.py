@@ -76,8 +76,8 @@ ROWS = (
         _cells("pn-pickup-p2-n3", "pn-pickup-p2-n4", "pn-pickup-p2-n5", "pn-pickup-p2-n6",
                "pn-pickup-p2-n7", "pn-pickup-p3-n4", "pn-pickup-p3-n5", "pn-pickup-p3-n6",
                "pn-pickup-p3-n7", "pn-broken-p2-n3", "pn-broken-p2-n4", "pn-broken-p2-n5",
-               "pn-broken-p2-n6", "pn-exponential-p2-n3", "pn-exponential-p2-n4",
-               "pn-exponential-p2-n5", "pn-truncated-p2-n3-a1/10",
+               "pn-broken-p2-n6", "pn-exponential-p2-n3-rate5", "pn-exponential-p2-n4-rate5",
+               "pn-exponential-p2-n5-rate5", "pn-truncated-p2-n3-a1/10",
                "pn-truncated-p2-n4-a1/10")),
     # ties have measure zero, so only a scripted row sees the tie rule
     Row("no_polygon_tie_is_strict",
@@ -96,14 +96,16 @@ ROWS = (
     Row("subset_never_picks_the_last_free_position",
         _edited("_subset_rows", "(u[:, s] * (n - s))", "(u[:, s] * (n - s - 1))"),
         frozenset(), caught_by="test_mc_pins.py::test_successes_pinned[pr-pickup-2-5]"),
-    # the lengths of each model; the concordance cells run at rate 1
+    # the lengths of each model; the exponential cells run at rate 5
     Row("exponential_rate_leaks_into_lengths",
         _edited("_lengths_into", "np.divide(x, dist.rate, out=x)",
                 "np.divide(x, dist.rate, out=x); np.add(x, dist.rate - 1.0, out=x)"),
-        frozenset({"exponential_rate_invariant"})),
+        _cells("pn-exponential-p2-n3-rate5", "pn-exponential-p2-n4-rate5",
+               "pn-exponential-p2-n5-rate5")),
     Row("exponential_log_dropped",
         _edited("_lengths_into", "np.log1p(x, out=x)", "np.negative(x, out=x)"),
-        _cells("pn-exponential-p2-n3", "pn-exponential-p2-n4", "pn-exponential-p2-n5")),
+        _cells("pn-exponential-p2-n3-rate5", "pn-exponential-p2-n4-rate5",
+               "pn-exponential-p2-n5-rate5")),
     Row("truncated_shift_dropped",
         _edited("_lengths_into", "np.add(x, dist.a, out=x)", "pass"),
         _cells("pn-truncated-p2-n3-a1/10", "pn-truncated-p2-n4-a1/10")),
@@ -114,7 +116,7 @@ ROWS = (
     # cuts as well as its n lengths
     Row("network_5_drops_last_comparator", _network_drops_last_comparator(5),
         _cells("pn-pickup-p2-n5", "pn-pickup-p3-n5", "pn-broken-p2-n5", "pn-broken-p2-n6",
-               "pn-exponential-p2-n5", "pa-pickup-p2-n5", "pa-pickup-p3-n5")),
+               "pn-exponential-p2-n5-rate5", "pa-pickup-p2-n5", "pa-pickup-p3-n5")),
     Row("network_6_drops_last_comparator", _network_drops_last_comparator(6),
         _cells("pn-pickup-p2-n6", "pn-pickup-p3-n6", "pn-broken-p2-n6", "pr-pickup-p2",
                "pr-pickup-p3")),

@@ -29,6 +29,14 @@ class TestSpecs:
             DistributionSpec.uniform_truncated(1.0)
         with pytest.raises(DomainError):
             DistributionSpec.exponential(0.0)
+        # a parameter that the model would ignore is refused, not recorded
+        for model in ("pickup", "exponential", "broken"):
+            with pytest.raises(DomainError, match="^only the truncated model takes a, "):
+                DistributionSpec(model, a=0.5)
+        for model in ("pickup", "truncated", "broken"):
+            with pytest.raises(DomainError, match="^only the exponential model takes a rate, "):
+                DistributionSpec(model, rate=3)
+        assert DistributionSpec("pickup", a=0, rate=1) == DistributionSpec("pickup")
 
     @pytest.mark.parametrize(
         "rate", [np.inf, -np.inf, np.nan, 1e-320, 0.0, -1.0,
@@ -218,6 +226,10 @@ class TestEstimate:
             run = {"trials": 10, "seed": 1, "workers": 1} | {arg: bad}
             with pytest.raises(DomainError, match=f"^{arg} must be an int, got "):
                 estimate(event, dist, 4, **run)
+        # the specs are specs, not None or a bare name
+        for specs in ((None, dist), (event, None), (NO_POLYGON, dist), (event, "pickup")):
+            with pytest.raises(DomainError, match="^estimate takes an EventSpec and a "):
+                estimate(*specs, 4, 10, 1)
 
     def test_wide_rows_stay_within_the_buffer_budget(self):
         # 8192 trials of 2000 lengths: one 8192-row sub-block would hold
@@ -554,7 +566,8 @@ def _seam_cases():
 def test_chunk_splits_at_sub_block_seams(event, model, p, n):
     # a chunk over [0, 65536) scores the same trials as any two chunks that
     # split it, including splits on and next to the 8192-row sub-blocks
-    event, dist = EventSpec(event, p), DistributionSpec(model, a=0.25, rate=3.0)
+    params = {"truncated": {"a": 0.25}, "exponential": {"rate": 3.0}}.get(model, {})
+    event, dist = EventSpec(event, p), DistributionSpec(model, **params)
     blocks = montecarlo._trial_words(event, dist, n)[1]
 
     def run(t0, t1):
