@@ -14,23 +14,23 @@ A chunk of up to 65 536 trials reads one Philox stream and is scored
 8192 rows at a time, in buffers reused across the chunk, with its predicate
 results in one per-chunk array.  A sub-block's w words per trial are drawn
 into one buffer and its n lengths per trial written into another, so its
-samples take about 8192 x (w + n) x 8 bytes (plus the copy below for
-narrow rows): small enough to stay in cache between the steps, unlike one
-draw over the whole chunk.  Wide rows get fewer rows per sub-block, so a
+samples take about 8192 x (w + n) x 8 bytes: small enough to stay in cache
+between the steps, unlike one draw over the whole chunk.  The generator is
+the only writer of the draw buffer; the lengths are computed from it and the
+subset picks read from it.  Wide rows get fewer rows per sub-block, so a
 sub-block's buffers together never hold more than 2^20 words (8 MiB); a
 single row wider than that is refused with ``ResourceLimitError``.
 
 Rows of at most 8 lengths are narrow: numpy's per-row overhead, not the
-arithmetic, would dominate their row sorts and row sums.  Their sub-blocks
-are held column-major, every column one contiguous vector.  The words a
-trial reads (its lengths' words, then its subset picks) are copied out of
-the row-major draw into a column-major buffer of their own, and the lengths
-buffer is column-major too.  The generator fills a buffer in memory order,
-so it never draws into a column-major one: that would hand a trial another
-trial's words.  A narrow row is sorted by Batcher's odd-even merge
-network, one ``np.minimum``/``np.maximum`` pair over two whole columns per
-comparator (9 comparators at n = 5, 19 at n = 8), and its window sums add
-whole columns.  Wider rows keep row-major buffers and numpy's row sort:
+arithmetic, would dominate their row sorts and row sums.  Their lengths
+are held column-major, every column one contiguous vector, and a model's
+first step reads the row-major draw and writes them in that layout.  The
+generator fills a buffer in memory order, so it never draws into a
+column-major one: that would hand a trial another trial's words.  A narrow
+row is sorted by Batcher's odd-even merge network, one
+``np.minimum``/``np.maximum`` pair over two whole columns per comparator
+(9 comparators at n = 5, 19 at n = 8), and its window sums add whole
+columns.  Wider rows keep row-major lengths and numpy's row sort:
 their windows can hold eight or more values, whose row sum depends on the
 layout (below), and past about n = 12 the network is the slower sort.
 
@@ -130,17 +130,14 @@ def _trial_words(event: EventSpec, dist: DistributionSpec, n: int) -> tuple[int,
     rounded up to whole blocks, at least one.
     """
     lengths = n - 1 if dist.kind == "broken" else n
-    return lengths, max(1, -(-(lengths + _picks(event)) // _WORDS_PER_BLOCK))
-
-
-def _picks(event: EventSpec) -> int:
-    """The words a trial reads for its subset picks, after its lengths."""
-    return event.p + 1 if event.kind == RANDOM_SUBSET_POLYGON else 0
+    picks = event.p + 1 if event.kind == RANDOM_SUBSET_POLYGON else 0
+    return lengths, max(1, -(-(lengths + picks) // _WORDS_PER_BLOCK))
 
 
 def _lengths_into(dist: DistributionSpec, u: np.ndarray, x: np.ndarray) -> None:
     """Write the sorted lengths for each row of uniforms ``u`` into the
-    ``(rows, n)`` array ``x``.  A broken stick sorts its cuts in ``u``."""
+    ``(rows, n)`` array ``x``, in ``x``'s own memory layout.  ``u`` is only
+    read: a broken stick copies its cuts into ``x`` and sorts them there."""
     if dist.kind == "pickup":
         np.copyto(x, u)
     elif dist.kind == "truncated":
@@ -151,14 +148,15 @@ def _lengths_into(dist: DistributionSpec, u: np.ndarray, x: np.ndarray) -> None:
         np.log1p(x, out=x)
         np.negative(x, out=x)
         np.divide(x, dist.rate, out=x)
-    elif u.shape[1]:
-        # the spacings between 0, the sorted cuts and 1
-        _sort_rows(u)
-        x[:, 0] = u[:, 0]
-        np.subtract(u[:, 1:], u[:, :-1], out=x[:, 1:-1])
-        np.subtract(1.0, u[:, -1], out=x[:, -1])
     else:
-        x.fill(1.0)  # a broken stick with no cuts is one whole piece
+        # the spacings between 0, the sorted cuts and 1, taken in place
+        # column by column from the right: one 2-d subtract over the
+        # overlapping column ranges would have numpy copy one of them first
+        np.copyto(x[:, :-1], u)
+        _sort_rows(x[:, :-1])
+        x[:, -1] = 1.0
+        for j in range(x.shape[1] - 1, 0, -1):
+            np.subtract(x[:, j], x[:, j - 1], out=x[:, j])
     _sort_rows(x)
 
 
@@ -242,14 +240,12 @@ def _run_chunk(
     count = t1 - t0
     bits = np.random.Philox(key=seed, counter=t0 * blocks_per_trial)
     gen = np.random.Generator(bits)
-    # Narrow rows are held column-major.  The generator fills a buffer in
-    # memory order, so it draws only into the row-major ubuf, and the words
-    # a trial reads are copied from there into the column-major colbuf.
+    # The generator fills a buffer in memory order, so it draws only into
+    # the row-major ubuf, which nothing else writes.  Narrow lengths are
+    # held column-major in xbuf, and the subset picks are read from ubuf.
     width = blocks_per_trial * _WORDS_PER_BLOCK
     n_len = _trial_words(event, dist, n)[0]
-    n_read = n_len + _picks(event)
-    narrow = n <= _NETWORK_WIDTH
-    words = width + n + (n_read if narrow else 0)
+    words = width + n
     rows = min(count, _ROWS_PER_BLOCK, _BUFFER_WORDS // words)
     if not rows:
         raise ResourceLimitError(
@@ -257,17 +253,12 @@ def _run_chunk(
             f"sub-block budget of {_BUFFER_WORDS}"
         )
     ubuf = np.empty((rows, width))
-    xbuf = np.empty((rows, n), order="F" if narrow else "C")
-    if narrow:
-        colbuf = np.empty((rows, n_read), order="F")
+    xbuf = np.empty((rows, n), order="F" if n <= _NETWORK_WIDTH else "C")
     ok = np.empty(count, dtype=bool)
     for b0 in range(0, count, rows):
         b1 = min(b0 + rows, count)
         u, lengths = ubuf[: b1 - b0], xbuf[: b1 - b0]
         gen.random(out=u)
-        if narrow:
-            np.copyto(colbuf[: b1 - b0], u[:, :n_read])
-            u = colbuf[: b1 - b0]
         _lengths_into(dist, u[:, :n_len], lengths)
         if event.kind == NO_POLYGON:
             ok[b0:b1] = _no_polygon_rows(lengths, event.p)

@@ -110,7 +110,7 @@ ROWS = (
         _edited("_lengths_into", "np.add(x, dist.a, out=x)", "pass"),
         _cells("pn-truncated-p2-n3-a1/10", "pn-truncated-p2-n4-a1/10")),
     Row("broken_first_spacing_from_second_cut",
-        _edited("_lengths_into", "x[:, 0] = u[:, 0]", "x[:, 0] = u[:, 1]"),
+        _edited("_lengths_into", "x[:, -1] = 1.0", "x[:, -1] = 1.0; x[:, 0] = x[:, 1]"),
         _cells("pn-broken-p2-n3", "pn-broken-p2-n4", "pn-broken-p2-n5", "pn-broken-p2-n6")),
     # the sorting networks of narrow rows; a broken stick sorts its n - 1
     # cuts as well as its n lengths

@@ -362,6 +362,27 @@ def test_sort_rows_sorts_every_zero_one_row(width, layout):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 9, 20])
+@pytest.mark.parametrize("model", MODELS)
+def test_lengths_match_in_either_layout_and_leave_the_draw_unwritten(model, n):
+    # the lengths' words are the leading columns of a row-major draw, as in
+    # a sub-block; row- and column-major lengths agree bit for bit, and the
+    # draw is only read
+    params = {"truncated": {"a": 0.25}, "exponential": {"rate": 3.0}}.get(model, {})
+    dist = DistributionSpec(model, **params)
+    n_len = montecarlo._trial_words(EventSpec(NO_POLYGON, 2), dist, n)[0]
+    draw = np.random.Generator(np.random.Philox(key=100 + n)).random((3000, n_len + 3))
+    before = draw.tobytes()
+    rows, cols = (np.empty((len(draw), n), order=order) for order in "CF")
+    for x in (rows, cols):
+        montecarlo._lengths_into(dist, draw[:, :n_len], x)
+    assert np.array_equal(rows.view(np.int64), cols.view(np.int64))
+    assert (np.diff(rows, axis=1) >= 0).all()
+    if model == "broken":
+        assert (abs(rows.sum(axis=1) - 1.0) < 1e-12).all()
+    assert draw.tobytes() == before
+
+
 def test_merge_networks_have_batchers_sizes():
     assert [len(pairs) for pairs in montecarlo._NETWORKS] == [0, 0, 1, 3, 5, 9, 12, 16, 19]
 
