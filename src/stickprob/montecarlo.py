@@ -23,8 +23,9 @@ single row wider than that is refused with ``ResourceLimitError``.
 
 Rows of at most 8 lengths are narrow: numpy's per-row overhead, not the
 arithmetic, would dominate their row sorts and row sums.  Their lengths
-are held column-major, every column one contiguous vector, and a model's
-first step reads the row-major draw and writes them in that layout.  The
+are held column-major, every column one contiguous vector: one copy
+moves a row-major draw's uniforms (or a broken stick's cuts) into that
+layout, and every later step of a model runs in place there.  The
 generator fills a buffer in memory order, so it never draws into a
 column-major one: that would hand a trial another trial's words.  A narrow
 row is sorted by Batcher's odd-even merge network, one
@@ -38,18 +39,27 @@ Floating point is deliberate here: the Monte Carlo error at any feasible
 trial count dwarfs rounding error.  Exactness lives in the closed forms
 and the symbolic oracle.
 
-The predicates do no more work than a row needs.  "No polygon" scores each
-window only on the rows still alive (surviving rows must grow like p-step
-Fibonacci numbers, so most die within a few windows), and the random
-subset is drawn by resolving the partial Fisher-Yates picks as column
-indices, without building shuffled index rows.  Each window sum is numpy's
-own row sum over that window's p values, which reads that row alone, so
-success counts are bit-identical to scoring every row on every window.
-Over fewer than eight values that row sum is a left fold, as a plain
-per-row loop adds, in either memory layout.  Over eight or more values in
-a row-major row numpy sums pairwise, and the last bit can differ from a
-loop's.  A narrow row holds at most 8 lengths, so every window it sums has
-p <= 7, and its counts are the same in either layout.
+The predicates do no more work than a row needs.  "No polygon" stops at
+the first window that no row survives (surviving rows must grow like
+p-step Fibonacci numbers, so most die within a few windows).  Row-major
+rows still alive are copied out once they are at most half of those held,
+so later windows score only them; column-major rows are never copied, as
+their window sums add whole columns and the copy would be row-major.  The
+random subset is a partial Fisher-Yates shuffle of the column indices,
+resolved to its p + 1 sorted picks by O(p^2) passes over whole columns,
+without building shuffled index rows.  A row's picks depend only on its
+p + 1 drawn offsets, so where the n!/(n - p - 1)! outcomes are no more than
+a sub-block's 8192 rows (n <= 21 at p = 2, n <= 11 at p = 3, and never
+past p = 6) those passes run once per (n, p) over every outcome, into a
+cached table, and each row reads its picks by its offsets' mixed-radix
+code.  Each window sum is numpy's own row sum over that window's p
+values, which reads that row alone, so success counts are bit-identical
+to scoring every row on every window.  Over fewer than eight values that
+row sum is a left fold, as a plain per-row loop adds, in either memory
+layout, and the table path adds its picks as that same fold.  Over eight
+or more values in a row-major row numpy sums pairwise, and the last bit
+can differ from a loop's.  A narrow row holds at most 8 lengths, so every
+window it sums has p <= 7, and its counts are the same in either layout.
 
 Tie rule, fixed for reproducibility: a degenerate flat polygon does not
 count as formed.  "Cannot form" tests use window sums <= the next length;
@@ -59,10 +69,13 @@ supported distribution.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 
 import numpy as np
+# numpy imports numpy.random on first use: here, not inside a first estimate
+from numpy.random import Generator, Philox
 
 from .errors import DomainError, ResourceLimitError, require_int, require_n, require_subset
 from .specs import (
@@ -137,18 +150,9 @@ def _trial_words(event: EventSpec, dist: DistributionSpec, n: int) -> tuple[int,
 def _lengths_into(dist: DistributionSpec, u: np.ndarray, x: np.ndarray) -> None:
     """Write the sorted lengths for each row of uniforms ``u`` into the
     ``(rows, n)`` array ``x``, in ``x``'s own memory layout.  ``u`` is only
-    read: a broken stick copies its cuts into ``x`` and sorts them there."""
-    if dist.kind == "pickup":
-        np.copyto(x, u)
-    elif dist.kind == "truncated":
-        np.multiply(u, 1.0 - dist.a, out=x)
-        np.add(x, dist.a, out=x)
-    elif dist.kind == "exponential":
-        np.negative(u, out=x)
-        np.log1p(x, out=x)
-        np.negative(x, out=x)
-        np.divide(x, dist.rate, out=x)
-    else:
+    read: one copy moves the uniforms, or a broken stick's cuts, into ``x``,
+    and every later step runs in place over ``x``."""
+    if dist.kind == "broken":
         # the spacings between 0, the sorted cuts and 1, taken in place
         # column by column from the right: one 2-d subtract over the
         # overlapping column ranges would have numpy copy one of them first
@@ -157,17 +161,30 @@ def _lengths_into(dist: DistributionSpec, u: np.ndarray, x: np.ndarray) -> None:
         x[:, -1] = 1.0
         for j in range(x.shape[1] - 1, 0, -1):
             np.subtract(x[:, j], x[:, j - 1], out=x[:, j])
+    else:
+        np.copyto(x, u)
+        if dist.kind == "truncated":
+            np.multiply(x, 1.0 - dist.a, out=x)
+            np.add(x, dist.a, out=x)
+        elif dist.kind == "exponential":
+            np.negative(x, out=x)
+            np.log1p(x, out=x)
+            np.negative(x, out=x)
+            np.divide(x, dist.rate, out=x)
     _sort_rows(x)
 
 
 def _no_polygon_rows(lengths: np.ndarray, p: int) -> np.ndarray:
     # Most rows fail within a few windows, so each window is scored only on
-    # the rows still alive.  Once at most half of the held rows are alive
-    # they are copied out, with only the columns later windows read; a row's
-    # window sum is a reduction over its own p values alone, so its bits do
-    # not depend on which other rows are held.
+    # the rows still alive.  Once at most half of the held row-major rows are
+    # alive they are copied out, with only the columns later windows read; a
+    # row's window sum is a reduction over its own p values alone, so its
+    # bits do not depend on which other rows are held.  Column-major rows
+    # are never copied: their window sums add whole columns, and the copy
+    # would be row-major.
     m, n = lengths.shape
     rows, held, start = lengths, np.arange(m), 0  # rows[:, c] is column start + c
+    compact = lengths.strides[0] != lengths.itemsize
     keep = np.ones(m, dtype=bool)
     for i in range(n - p):
         c = i - start
@@ -175,7 +192,7 @@ def _no_polygon_rows(lengths: np.ndarray, p: int) -> np.ndarray:
         alive = np.count_nonzero(keep)
         if not alive:
             break
-        if 2 * alive <= keep.size:
+        if compact and 2 * alive <= keep.size:
             live = np.flatnonzero(keep)
             rows, held, start = rows[live, c + 1 :], held[live], i + 1
             keep = np.ones(alive, dtype=bool)
@@ -193,16 +210,21 @@ def _all_polygon_rows(lengths: np.ndarray, p: int) -> np.ndarray:
     return lengths[:, :p].sum(axis=1) > lengths[:, -1]
 
 
-def _subset_rows(lengths: np.ndarray, p: int, u: np.ndarray) -> np.ndarray:
-    # Partial Fisher-Yates over the column indices, resolved column by column
-    # without building the shuffled index rows.  Step s swaps positions s and
-    # pos[s]; before it, position q >= s holds q unless an earlier step t
-    # drew pos[t] == q, and then holds what position t held when step t ran.
-    m, n = lengths.shape
+def _sorted_picks(offsets: list[np.ndarray]) -> list[np.ndarray]:
+    """The column indices a partial Fisher-Yates shuffle picks, smallest
+    first: step s swaps positions s and s + offsets[s], and the picks are
+    the first len(offsets) positions after the last step.
+
+    Each offsets array holds one value per row, and each returned array
+    one pick per row.
+    """
+    # Resolved column by column without building the shuffled index rows.
+    # Before step s, position q >= s holds q unless an earlier step t drew
+    # pos[t] == q, and then holds what position t held when step t ran.
+    p = len(offsets) - 1
     pos, held, picks = [], [], []
-    for s in range(p + 1):
-        # the min() guards the one-ulp rounding case
-        drawn = s + np.minimum((u[:, s] * (n - s)).astype(np.int64), n - s - 1)
+    for s, offset in enumerate(offsets):
+        drawn = s + offset
         pick, at_s = drawn, s
         for t in range(s):
             pick = np.where(pos[t] == drawn, held[t], pick)
@@ -212,17 +234,61 @@ def _subset_rows(lengths: np.ndarray, p: int, u: np.ndarray) -> np.ndarray:
         if s < p:  # only a later step reads a step's swap
             pos.append(drawn)
             held.append(at_s)
-    # rows are sorted, so an insertion network on the picked indices puts
-    # the picked values in nondecreasing order as well
+    # an insertion network on the picked indices
     for i in range(1, p + 1):
         for k in range(i, 0, -1):
             lo, hi = picks[k - 1], picks[k]
             picks[k - 1], picks[k] = np.minimum(lo, hi), np.maximum(lo, hi)
-    # the picked values land in the lengths' own memory layout, so their
-    # row sum is the same reduction as over a window of the lengths
-    index = np.empty_like(lengths[:, : p + 1], dtype=np.int64)
-    subset = np.take_along_axis(lengths, np.stack(picks, axis=1, out=index), axis=1)
-    return subset[:, :p].sum(axis=1) > subset[:, -1]
+    return picks
+
+
+# only 34 (n, p) pairs pass _subset_rows's bound, 2.5 MiB of tables together
+@functools.lru_cache(maxsize=None)
+def _pick_table(n: int, p: int) -> np.ndarray:
+    """Row k holds, for every code, the k-th smallest column a partial
+    Fisher-Yates shuffle of n columns picks in p + 1 steps.  A code is the
+    steps' offsets in mixed radix n, n - 1, ..., n - p, first step first."""
+    radices = tuple(range(n, n - p - 1, -1))
+    offsets = np.unravel_index(np.arange(math.perm(n, p + 1)), radices)
+    table = np.stack(_sorted_picks(list(offsets)))
+    table.flags.writeable = False  # one array serves every caller
+    return table
+
+
+def _subset_rows(lengths: np.ndarray, p: int, u: np.ndarray) -> np.ndarray:
+    # rows are sorted, so the picked indices in increasing order pick the
+    # values in nondecreasing order as well
+    m, n = lengths.shape
+    # the min() guards the one-ulp rounding case
+    offsets = [
+        np.minimum((u[:, s] * (n - s)).astype(np.int64), n - s - 1) for s in range(p + 1)
+    ]
+    if math.perm(n, p + 1) > _ROWS_PER_BLOCK:
+        # the picked values land in the lengths' own memory layout, so their
+        # row sum is the same reduction as over a window of the lengths
+        index = np.empty_like(lengths[:, : p + 1], dtype=np.int64)
+        picks = np.stack(_sorted_picks(offsets), axis=1, out=index)
+        subset = np.take_along_axis(lengths, picks, axis=1)
+        return subset[:, :p].sum(axis=1) > subset[:, -1]
+    # A table no longer than a sub-block holds every outcome, looked up by
+    # each row's code.  Its bound forces p <= 6, and numpy's row sum over
+    # fewer than eight values is the left fold below, in either layout.
+    code = offsets[0]
+    for s in range(1, p + 1):
+        code = code * (n - s) + offsets[s]
+    # a flat offset into the lengths raveled in their own layout; a view
+    # unless the lengths are a row slice of a column-major buffer
+    if lengths.strides[0] == lengths.itemsize:
+        flat, first, step = lengths.ravel(order="F"), np.arange(m), m
+    else:
+        flat, first, step = lengths.ravel(order="C"), np.arange(0, m * n, n), 1
+    picked = []
+    for column in _pick_table(n, p):
+        index = column[code]
+        index *= step
+        index += first
+        picked.append(flat[index])
+    return sum(picked[1:p], picked[0]) > picked[p]
 
 
 def _run_chunk(
@@ -238,8 +304,7 @@ def _run_chunk(
     # chunk would.
     t0, t1 = span
     count = t1 - t0
-    bits = np.random.Philox(key=seed, counter=t0 * blocks_per_trial)
-    gen = np.random.Generator(bits)
+    gen = Generator(Philox(key=seed, counter=t0 * blocks_per_trial))
     # The generator fills a buffer in memory order, so it draws only into
     # the row-major ubuf, which nothing else writes.  Narrow lengths are
     # held column-major in xbuf, and the subset picks are read from ubuf.

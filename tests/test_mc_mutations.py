@@ -89,8 +89,14 @@ ROWS = (
         _cells("pa-pickup-p2-n4", "pa-pickup-p2-n5", "pa-pickup-p2-n6", "pa-pickup-p3-n5",
                "pa-pickup-p3-n6")),
     Row("subset_picks_left_unsorted",
-        _edited("_subset_rows", "range(1, p + 1)", "range(1, 1)"),
+        _edited("_sorted_picks", "range(1, p + 1)", "range(1, 1)"),
         _cells("pr-pickup-p2", "pr-pickup-p3")),
+    # still a bijection onto the table's rows, so every subset stays equally
+    # likely, but rows read another row's outcome
+    Row("subset_code_first_step_least_significant",
+        _edited("_subset_rows", "code = code * (n - s) + offsets[s]",
+                "code = code + offsets[s] * math.perm(n, s)"),
+        frozenset(), caught_by="test_montecarlo.py::test_subset_table_matches_per_row_resolution"),
     # the longest length is never picked; the n - 1 shortest of n uniforms
     # are iid uniforms scaled by the longest, so PR under pickup is unmoved
     Row("subset_never_picks_the_last_free_position",
@@ -156,8 +162,17 @@ def _catching_test(node_id):
     return partial(test, values[param.removesuffix("]")])
 
 
+@pytest.fixture
+def fresh_pick_tables():
+    """No pick table built before a row's fault hides it, and none built
+    under the fault outlives the row."""
+    montecarlo._pick_table.cache_clear()
+    yield
+    montecarlo._pick_table.cache_clear()
+
+
 @pytest.mark.parametrize("row", _params())
-def test_mc_suite_fails_as_listed(monkeypatch, row):
+def test_mc_suite_fails_as_listed(monkeypatch, fresh_pick_tables, row):
     for attribute, mutant in row.patches:
         monkeypatch.setattr(montecarlo, attribute, mutant)
     results = verify.run_suite("mc", trials=row.trials)

@@ -1,6 +1,9 @@
 import itertools
+import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -500,6 +503,42 @@ def test_subset_kernel_sums_the_picked_values_in_sorted_order():
     rows = np.array([[2.0**-53, 2.0**-53, 1.0, 1.0 + 2.0**-52, 2.0]])
     u = np.array([[0.7, 0.3, 0.1, 0.1, 0.0]])
     assert _subset_rows(rows, 4, u).tolist() == reference_subset(rows, 4, u) == [True]
+
+
+def test_pick_tables_hold_every_subset_equally_often():
+    # each code is one equally likely outcome of the shuffle's p + 1 steps,
+    # so the partial Fisher-Yates shuffle is uniform over (p + 1)-subsets
+    for n in range(3, 13):
+        for p in range(2, n):
+            codes = math.perm(n, p + 1)
+            if codes > montecarlo._ROWS_PER_BLOCK:
+                continue
+            rows = montecarlo._pick_table(n, p).T
+            assert rows.shape == (codes, p + 1)
+            assert (np.diff(rows, axis=1) > 0).all()
+            tally = Counter(map(tuple, rows.tolist()))
+            assert sorted(tally) == list(itertools.combinations(range(n), p + 1))
+            assert set(tally.values()) == {math.factorial(p + 1)}
+
+
+def test_subset_table_matches_per_row_resolution():
+    # the table path against the same call with every table refused, on
+    # row- and column-major lengths and on a row slice of a column-major
+    # buffer, as a chunk's short last sub-block is; the draws are columns
+    # of a wider row-major block, a quarter of them the largest uniform
+    rng = np.random.default_rng(17)
+    for n, p in [(3, 2), (5, 2), (6, 3), (7, 4), (7, 6), (12, 2), (21, 2)]:
+        assert math.perm(n, p + 1) <= montecarlo._ROWS_PER_BLOCK
+        rows = np.sort(rng.random((400, n)), axis=1)
+        u = rng.random((400, n + p + 1))[:, n:]
+        u[::4] = 1.0 - 2.0**-53
+        buffer = np.empty((500, n), order="F")
+        buffer[:400] = rows
+        for lengths in (np.asarray(rows, order="C"), np.asarray(rows, order="F"), buffer[:400]):
+            got = montecarlo._subset_rows(lengths, p, u)
+            with mock.patch.object(montecarlo, "_ROWS_PER_BLOCK", 0):
+                want = montecarlo._subset_rows(lengths, p, u)
+            assert got.tolist() == want.tolist()
 
 
 class _InlineExecutor:

@@ -174,6 +174,29 @@ def test_monte_carlo_commands_load_numpy():
     _assert_golden(runs)
 
 
+_FIRST_ESTIMATES = """
+import sys
+from stickprob import montecarlo
+from stickprob.specs import EVENTS, DistributionSpec, EventSpec
+
+before = set(sys.modules)
+for event in EVENTS.values():
+    montecarlo.estimate(EventSpec(event, 2), DistributionSpec("broken"), 5, 1000, 1)
+# a subset draw too wide for a pick table
+montecarlo.estimate(EventSpec(EVENTS["pr"], 7), DistributionSpec("pickup"), 8, 1000, 1)
+print(sorted(set(sys.modules) - before))
+"""
+
+
+@pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy is not installed")
+def test_first_estimates_import_nothing():
+    # montecarlo imports what estimate needs with itself, so a process's
+    # first estimate costs what every later one does
+    proc = _python(_FIRST_ESTIMATES)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy is not installed")
 def test_root_serves_the_monte_carlo_names():
     from stickprob import montecarlo
