@@ -154,7 +154,7 @@ class _Cli(click.Group):
             click.echo(str(exc), err=True)
             ctx.exit(3)
         except ImportError as exc:
-            if exc.name != "numpy":
+            if (exc.name or "").partition(".")[0] != "numpy":
                 raise
             click.echo(f"Error: Monte Carlo needs numpy, which could not be imported: {exc}",
                        err=True)

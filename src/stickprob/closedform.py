@@ -7,12 +7,13 @@ uniformly chosen subset of p+1 does.  Sampling models: pick-up sticks
 independent exponential lengths, and the broken stick (a unit stick cut at
 n-1 uniform positions).
 
-Everything returns an ``ExactProb``: a reduced big-integer fraction.  The
-denominator formulas live in ``constraints``; this module adds only the
-normalisers (1, n!, the truncation scale) and one balanced product tree
-over the n factors (``_product``), built once per evaluation.  Exponential
-PN reads the broken-stick product.  ``closed_form`` is the one place that
-says which evaluator serves which (event, model) pair.
+Everything returns an ``ExactProb``, a ``Fraction`` that no constructor
+lets out of [0, 1] or out of lowest terms.  The denominator formulas live
+in ``constraints``; this module adds only the normalisers (1, n!, the
+truncation scale) and one balanced product tree over the n factors
+(``_product``), built once per evaluation.  Exponential PN reads the
+broken-stick product.  ``closed_form`` is the one place that says which
+evaluator serves which (event, model) pair.
 
 Cross-route checks live in ``verify`` and the tests, which also run under
 ``python -O``.  The one ``assert`` left, in ``pn_pickup``, compares the
@@ -25,7 +26,6 @@ its ``exact-value`` mutation patches the return line of ``pn_broken``.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
 from typing import Iterable, Union
@@ -54,50 +54,52 @@ RationalLike = Union[Fraction, int, str]
 MAX_DECIMAL_DIGITS = 4000
 
 
-@dataclass(frozen=True)
-class ExactProb:
-    """A probability as a fraction of big integers, always in lowest terms."""
+def _require_range(numerator: int, denominator: int) -> None:
+    if denominator < 1:
+        raise DomainError(f"denominator must be >= 1, got {denominator}")
+    if not 0 <= numerator <= denominator:
+        raise DomainError(f"{numerator}/{denominator} is not a probability")
 
-    numerator: int
-    denominator: int
 
-    def __post_init__(self) -> None:
-        require_int("numerator", self.numerator)
-        require_int("denominator", self.denominator)
-        self._require_range()
-        if gcd(self.numerator, self.denominator) != 1:
-            raise DomainError(
-                f"{self.numerator}/{self.denominator} is not in lowest terms"
-            )
+class ExactProb(Fraction):
+    """A ``Fraction`` in [0, 1]: every way to build one refuses a value out of
+    range or lowest terms with ``DomainError``.  Arithmetic gives a ``Fraction``."""
 
-    def _require_range(self) -> None:
-        if self.denominator < 1:
-            raise DomainError(f"denominator must be >= 1, got {self.denominator}")
-        if not 0 <= self.numerator <= self.denominator:
-            raise DomainError(
-                f"{self.numerator}/{self.denominator} is not a probability"
-            )
+    __slots__ = ()
+
+    def __new__(cls, numerator: int, denominator: int) -> "ExactProb":
+        require_int("numerator", numerator)
+        require_int("denominator", denominator)
+        _require_range(numerator, denominator)
+        if gcd(numerator, denominator) != 1:
+            raise DomainError(f"{numerator}/{denominator} is not in lowest terms")
+        return super().__new__(cls, numerator, denominator)
 
     @classmethod
     def from_fraction(cls, value: Union[Fraction, int]) -> "ExactProb":
-        """The probability ``value``.  A plain ``Fraction`` is already in
-        lowest terms, so only its range is checked; anything else, a
-        subclass included, goes through the full check."""
+        """The probability ``value``.  A plain ``Fraction`` is in lowest terms
+        already, so only its range is checked, and it is copied without a gcd;
+        anything else, a subclass included, goes through the full check."""
         if type(value) is not Fraction:
             try:
                 value = Fraction(value)
             except (TypeError, ValueError, ArithmeticError) as exc:  # None, "x", nan, inf
                 raise DomainError(f"a probability must be rational, got {value!r}") from exc
             return cls(value.numerator, value.denominator)
-        prob = object.__new__(cls)
-        object.__setattr__(prob, "numerator", value.numerator)
-        object.__setattr__(prob, "denominator", value.denominator)
-        prob._require_range()
-        return prob
+        _require_range(value.numerator, value.denominator)
+        return super().__new__(cls, value)
+
+    # CPython 3.12's Fraction builds these two by a path that skips __new__
+    from_float = from_decimal = from_fraction
+
+    def __reduce__(self):
+        # 3.10's Fraction pickles as its text, which __new__ does not read
+        return type(self), (self.numerator, self.denominator)
 
     @property
     def fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
+        """The same value as a plain ``Fraction``, copied without a gcd."""
+        return Fraction(self)
 
     def decimal(self, digits: int = 12) -> str:
         """Fixed-point decimal rendering, rounded half away from zero."""
@@ -123,12 +125,6 @@ class ExactProb:
             return str(scaled)
         text = str(scaled).rjust(digits + 1, "0")
         return f"{text[:-digits]}.{text[-digits:]}"
-
-    def __float__(self) -> float:
-        return self.numerator / self.denominator
-
-    def __str__(self) -> str:
-        return f"{self.numerator}/{self.denominator}"
 
 
 def is_vacuous(p: int, n: int) -> bool:

@@ -181,9 +181,9 @@ def _no_polygon_rows(lengths: np.ndarray, p: int) -> np.ndarray:
     # row's window sum is a reduction over its own p values alone, so its
     # bits do not depend on which other rows are held.  Column-major rows
     # are never copied: their window sums add whole columns, and the copy
-    # would be row-major.
+    # would be row-major.  After a copy, ``held`` indexes its rows in lengths.
     m, n = lengths.shape
-    rows, held, start = lengths, np.arange(m), 0  # rows[:, c] is column start + c
+    rows, held, start = lengths, None, 0  # rows[:, c] is column start + c
     compact = lengths.strides[0] != lengths.itemsize
     keep = np.ones(m, dtype=bool)
     for i in range(n - p):
@@ -194,8 +194,11 @@ def _no_polygon_rows(lengths: np.ndarray, p: int) -> np.ndarray:
             break
         if compact and 2 * alive <= keep.size:
             live = np.flatnonzero(keep)
-            rows, held, start = rows[live, c + 1 :], held[live], i + 1
+            held = live if held is None else held[live]
+            rows, start = rows[live, c + 1 :], i + 1
             keep = np.ones(alive, dtype=bool)
+    if held is None:
+        return keep
     ok = np.zeros(m, dtype=bool)
     ok[held[keep]] = True
     return ok

@@ -228,7 +228,7 @@ def check_quadrilateral_form_agrees() -> CheckResult:
     bad = [
         f"n={n}"
         for n in range(4, 21)
-        if pn_pickup(3, n).fraction != _pn_pickup_quadrilateral(n).fraction
+        if pn_pickup(3, n) != _pn_pickup_quadrilateral(n)
     ]
     return _result("quadrilateral_form_agrees", bad)
 
@@ -237,7 +237,7 @@ def check_triangle_product_inverts_fibonorial() -> CheckResult:
     bad = [
         f"n={n}"
         for n in range(3, 21)
-        if pn_pickup(2, n).fraction * prod(fib(2, i) for i in range(1, n + 1)) != 1
+        if pn_pickup(2, n) * prod(fib(2, i) for i in range(1, n + 1)) != 1
     ]
     return _result("triangle_product_inverts_fibonorial", bad)
 
@@ -246,7 +246,7 @@ def check_all_gone_reduction_factorial() -> CheckResult:
     bad = [
         f"n={n}"
         for n in range(3, 13)
-        if pn_pickup(n - 1, n).fraction != Fraction(1, factorial(n - 1))
+        if pn_pickup(n - 1, n) != Fraction(1, factorial(n - 1))
     ]
     return _result("all_gone_reduction_factorial", bad)
 
@@ -255,7 +255,7 @@ def check_broken_reduction_power_of_two() -> CheckResult:
     bad = [
         f"n={n}"
         for n in range(3, 13)
-        if pn_broken(n - 1, n).fraction != Fraction(n, 2 ** (n - 1))
+        if pn_broken(n - 1, n) != Fraction(n, 2 ** (n - 1))
     ]
     return _result("broken_reduction_power_of_two", bad)
 
@@ -268,7 +268,7 @@ def check_exponential_matches_broken() -> CheckResult:
         for p in range(2, 8)
         for n in range(p + 1, 21)
         if Fraction(factorial(n), prod(oracle.exponential_rates(p, n)))
-        != pn_exponential(p, n).fraction
+        != pn_exponential(p, n)
     ]
     return _result("exponential_matches_broken", bad)
 
@@ -277,11 +277,11 @@ def check_complement_at_minimal_n() -> CheckResult:
     bad = [
         f"p={p}"
         for p in (2, 3)
-        if pa_pickup(p, p + 1).fraction != 1 - pn_pickup(p, p + 1).fraction
+        if pa_pickup(p, p + 1) != 1 - pn_pickup(p, p + 1)
     ] + [
         f"pr p={p}"
         for p in range(2, 13)
-        if pr_pickup(p).fraction != 1 - pn_pickup(p, p + 1).fraction
+        if pr_pickup(p) != 1 - pn_pickup(p, p + 1)
     ]
     return _result("complement_at_minimal_n", bad)
 
@@ -291,12 +291,12 @@ def check_truncated_nonincreasing_in_cutoff() -> CheckResult:
     for p, n in ((2, 3), (2, 5), (3, 4), (3, 6)):
         cap = Fraction(1, m_constants(p, n)[0])
         grid = [cap * Fraction(j, 16) for j in range(17)]
-        values = [pn_pickup_truncated(p, n, a).fraction for a in grid]
+        values = [pn_pickup_truncated(p, n, a) for a in grid]
         if any(x < y for x, y in zip(values, values[1:])):
             bad.append(f"p={p} n={n} not nonincreasing")
         if values[-1] != 0:
             bad.append(f"p={p} n={n} endpoint {values[-1]} != 0")
-        if values[0] != pn_pickup(p, n).fraction:
+        if values[0] != pn_pickup(p, n):
             bad.append(f"p={p} n={n} a=0 mismatch")
     return _result("truncated_nonincreasing_in_cutoff", bad)
 
@@ -312,7 +312,7 @@ def check_probabilities_reduced_and_in_range() -> CheckResult:
                 probs.append(pa_pickup(p, n))
         probs.append(pr_pickup(p))
     for prob in probs:
-        if not 0 <= prob.fraction <= 1:
+        if not 0 <= prob <= 1:
             bad.append(f"{prob} out of range")
         if gcd(prob.numerator, prob.denominator) != 1:
             bad.append(f"{prob} not reduced")
@@ -325,7 +325,7 @@ def check_symbolic_integration_matches_closed_form() -> CheckResult:
     bad = [
         f"p={p} n={n}"
         for p, n in grid
-        if oracle.symbolic_pn_pickup(p, n).fraction != pn_pickup(p, n).fraction
+        if oracle.symbolic_pn_pickup(p, n) != pn_pickup(p, n)
     ]
     return _result("symbolic_integration_matches_closed_form", bad)
 
@@ -343,11 +343,11 @@ def check_symbolic_truncated_matches_closed_form() -> CheckResult:
     cases += [
         (p, n, Fraction(1, 2 * m_constants(p, n)[0])) for p, n in ((2, 8), (3, 8), (4, 7))
     ]
-    symbolic = {case: oracle.symbolic_pn_truncated(*case).fraction for case in cases}
+    symbolic = {case: oracle.symbolic_pn_truncated(*case) for case in cases}
     bad = [
         f"p={p} n={n} a={a}"
         for (p, n, a), sym in symbolic.items()
-        if sym != pn_pickup_truncated(p, n, a).fraction
+        if sym != pn_pickup_truncated(p, n, a)
     ]
     if symbolic[2, 3, Fraction(1, 4)] != Fraction(4, 27):
         bad.append("reference value 4/27 missed")
@@ -493,7 +493,7 @@ def run_suite(
     workers: int = 1,
 ) -> list[CheckResult]:
     if suite not in ("all", "exact", "mc"):
-        raise ValueError(f"unknown suite {suite!r}")
+        raise DomainError(f"unknown suite {suite!r}")
     monte_carlo = suite in ("all", "mc")
     if monte_carlo:
         # numpy that cannot be imported, and bad run arguments (a usage

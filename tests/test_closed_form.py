@@ -1,4 +1,8 @@
+import copy
+import math
+import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import factorial, gcd
 
@@ -24,7 +28,7 @@ from stickprob.constraints import m_constants, s_constants
 from stickprob.errors import DomainError, ResourceLimitError, UnsupportedFormulaError
 from stickprob.oracle import symbolic_pn_truncated
 from stickprob.sequences import StepFibTable, fib
-from stickprob.verify import _CONCORDANCE_GRID, _pn_pickup_quadrilateral
+from stickprob.verify import _CONCORDANCE_GRID, _pn_pickup_quadrilateral, run_suite
 
 
 class TestExactProb:
@@ -91,6 +95,66 @@ class TestExactProb:
         prob = ExactProb(3, 4)
         assert float(prob) == 0.75
         assert str(prob) == "3/4"
+
+    @pytest.mark.parametrize(("num", "den"), [(0, 1), (1, 3), (1, 1)])
+    def test_equals_and_hashes_as_its_fraction(self, num, den):
+        prob = ExactProb(num, den)
+        assert isinstance(prob, Fraction)
+        assert prob == Fraction(num, den) and hash(prob) == hash(Fraction(num, den))
+        assert {Fraction(num, den): "value"}[prob] == "value"
+
+    def test_arithmetic_returns_a_plain_fraction(self):
+        prob = ExactProb(1, 3)
+        for value in (prob + prob, 1 - prob, prob * 3, prob / 2, -prob, +prob, abs(prob),
+                      prob**2, prob - ExactProb(1, 3)):
+            assert type(value) is Fraction
+
+    def test_fraction_is_a_plain_copy_without_a_gcd(self, monkeypatch):
+        prob = pn_broken(3, 1000)
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return gcd(*args)
+
+        monkeypatch.setattr(math, "gcd", counted)
+        monkeypatch.setattr(closedform, "gcd", counted)
+        value = prob.fraction
+        assert type(value) is Fraction and value == prob and not calls
+
+    @pytest.mark.parametrize("build", [
+        lambda num, den: ExactProb(num, den),
+        lambda num, den: ExactProb.from_fraction(Fraction(num, den)),
+        lambda num, den: ExactProb.from_float(num / den),
+        lambda num, den: ExactProb.from_decimal(Decimal(num) / Decimal(den)),
+    ], ids=["constructor", "from_fraction", "from_float", "from_decimal"])
+    @pytest.mark.parametrize(("num", "den"), [(0, 1), (1, 4), (1, 1), (5, 4), (-1, 4)])
+    def test_every_way_to_build_checks_the_range(self, build, num, den):
+        if 0 <= num <= den:
+            prob = build(num, den)
+            assert type(prob) is ExactProb and prob == Fraction(num, den)
+            assert (prob.numerator, prob.denominator) == (num, den)
+        else:
+            with pytest.raises(DomainError, match="is not a probability"):
+                build(num, den)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), Decimal("NaN"), "x"],
+                             ids=["nan", "inf", "decimal-nan", "str"])
+    def test_float_and_decimal_refuse_non_rationals(self, value):
+        for build in (ExactProb.from_float, ExactProb.from_decimal):
+            with pytest.raises(DomainError, match="must be rational"):
+                build(value)
+
+    def test_copies_and_pickles_rebuild_through_the_checks(self):
+        prob = ExactProb(1, 3)
+        rebuilds = (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v)))
+        for rebuild in rebuilds:
+            clone = rebuild(prob)
+            assert type(clone) is ExactProb and clone == prob
+        forged = Fraction.__new__(ExactProb, 3, 2)  # skips ExactProb.__new__
+        for rebuild in rebuilds:
+            with pytest.raises(DomainError, match="^3/2 is not a probability$"):
+                rebuild(forged)
 
 
 def _sequential_product(values):
@@ -367,6 +431,7 @@ _BAD_CALLS = {
     "closed_form-list": lambda: closed_form([], 1),
     "is_vacuous-str": lambda: is_vacuous("a", 2),
     "is_vacuous-float": lambda: is_vacuous(2.0, 2),
+    "run_suite-unknown-suite": lambda: run_suite("bogus"),
 }
 
 

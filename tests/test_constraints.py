@@ -14,6 +14,7 @@ from stickprob.constraints import (
     m_constants,
     m_constants_via_jacobian,
     max_length_form,
+    max_min_identity_mismatches,
     min_length_form,
     s_constants,
 )
@@ -244,6 +245,14 @@ class TestConstants:
 class TestConstraintSystem:
     def test_bound_models_are_sampling_models(self):
         assert set(BOUND_MODELS) <= set(MODELS)
+
+    @pytest.mark.parametrize("call", [
+        lambda: max_length_form(2, 5, 1, "truncated"),
+        lambda: max_min_identity_mismatches(2, 5, "exponential"),
+    ], ids=["max_length_form", "max_min_identity_mismatches"])
+    def test_rejects_a_model_without_bound_forms(self, call):
+        with pytest.raises(DomainError, match="^model must be one of "):
+            call()
 
 
 class TestIntegerCore:

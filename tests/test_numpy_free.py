@@ -7,10 +7,11 @@ importable but expected to stay unloaded.  So is the command line: every
 ``compute``, ``table``, ``constants`` and ``verify --suite exact`` request
 pinned in ``test_cli_golden`` prints its golden bytes without loading
 numpy, and the Monte Carlo commands, which do load it, exit 2 with one
-line on stderr where it cannot be imported.  Each command loads only the
-subsystems it runs: only ``verify`` loads the verification suite and the
-oracle, and a single-threaded ``simulate`` no thread pool.  This file
-itself imports no numpy, so it runs where numpy is not installed.
+line on stderr where it, or a submodule they need, cannot be imported.
+Each command loads only the subsystems it runs: only ``verify`` loads the
+verification suite and the oracle, and a single-threaded ``simulate`` no
+thread pool.  This file itself imports no numpy, so it runs where numpy
+is not installed.
 """
 
 import hashlib
@@ -163,6 +164,19 @@ def test_monte_carlo_commands_exit_2_with_numpy_blocked():
         assert code == 2, argv
         assert digest == _EMPTY, f"{argv}: stdout is not empty"
         assert stderr.count("\n") == 1 and "numpy" in stderr, f"{argv}: {stderr!r}"
+
+
+def test_a_blocked_numpy_submodule_is_a_usage_error():
+    # numpy itself may import, but montecarlo also needs numpy.random
+    proc = _python(
+        "import sys; sys.modules['numpy.random'] = None\n"
+        "from stickprob.cli import cli\n"
+        "cli.main(args='simulate --event pn --p 2 --n 4'.split(), prog_name='stickprob')\n"
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "numpy" in proc.stderr, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="numpy is not installed")
